@@ -1,7 +1,7 @@
 // Async inference-server benchmark: open-loop Poisson arrivals against the
 // InferenceServer.
 //
-// Five sections:
+// Three sections:
 //
 //  1. Offered load x batching deadline x worker count (two models,
 //     alternating requests):
@@ -35,37 +35,19 @@
 //     steady-state snapshot taken when arrivals end, so the final drain
 //     does not smear the percentiles.
 //
-//  3. Batched vs per-image dispatch: a closed-loop saturated flood (full
-//     max_batch batches) on one worker, run once with
-//     ServerOptions::batched_execution (one Executor::run_batch_view call
-//     per formed batch) and once with the per-request loop. Logits are
-//     bit-identical; the achieved/s ratio is the batched-execution payoff
-//     and lands in BENCH_server.json as dispatch_batched_speedup.
-//
-//  4. Autoscaler load step: a burst at ~2.5x one worker's capacity against
+//  3. Autoscaler load step: a burst at ~2.5x one worker's capacity against
 //     an autoscaling pool (min 1, max 4). The row shows the scale-up events
 //     climbing to a stable peak during the burst, and the pool shrinking
 //     back to min after it drains — grow/shrink counts equal means no
 //     oscillation.
-//
-//  5. Overload SLO attainment: the same open-loop overload run twice, once
-//     with queue-only deadline shedding and once with execution-aware
-//     shedding (refuse-to-dispatch on the compiled plan's execution
-//     estimate + layer-boundary cancellation). Execution-aware shedding
-//     stops the worker from finishing doomed requests late, so the
-//     attainment column rises and the met-request p99 falls — the payoff
-//     docs/serving.md § execution-aware deadlines describes.
 //
 // Numbers under smoke mode (BSWP_BENCH_SMOKE=1, CI) are meaningless — only
 // the code paths matter.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <future>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -239,117 +221,6 @@ void print_skewed_row(const char* policy, const LoadResult& r) {
               hot.latency.p50_us, hot.latency.p99_us,
               static_cast<unsigned long long>(cold_done),
               static_cast<unsigned long long>(cold_shed), cold_p99);
-}
-
-struct SloResult {
-  double attainment = 0.0;    // met-SLO completions / offered requests
-  double met_p99_us = 0.0;    // client-observed p99 of the met requests
-  std::uint64_t shed = 0;     // purged + refused + layer-boundary sheds
-  std::uint64_t completed = 0;
-};
-
-/// Section 5: overload SLO sweep under one shedding mode. Open-loop Poisson
-/// arrivals past capacity, every request carrying the same deadline. With
-/// queue-only shedding (execution_aware_deadlines=false) a request is purged
-/// only once its deadline has already passed in the queue — one that expires
-/// a hair after dispatch occupies the worker to completion and finishes
-/// late, wasting capacity that feasible requests behind it needed. The
-/// execution-aware mode refuses to dispatch work whose remaining slack is
-/// below the compiled plan's execution estimate and sheds in-flight batches
-/// at the next layer boundary, so worker time concentrates on requests that
-/// can still meet their deadline: attainment rises and the met-request tail
-/// shortens. Latencies are measured client-side (submit to future-ready,
-/// consumed in submit order) because ServerStats percentiles cover all
-/// completions, late ones included.
-SloResult run_slo_overload(bswp::Session& model, bool exec_aware, double offered_ips,
-                           microseconds slo, int n, std::span<const Tensor> images) {
-  runtime::ServerOptions so;
-  so.workers = 1;
-  so.execution_aware_deadlines = exec_aware;
-  so.batching.max_batch = 4;
-  so.batching.max_delay = microseconds{200};
-  so.queue.capacity = 1024;
-  so.queue.policy = runtime::QueuePolicy::kBlock;
-  runtime::InferenceServer server(so);
-  server.register_model("m", model.network(),
-                        runtime::ModelConfig{so.batching, so.queue, 1});
-
-  for (int i = 0; i < 2 * so.batching.max_batch; ++i) {
-    server.submit("m", images[0]);
-  }
-  server.drain();  // executor warm
-  server.reset_stats();
-
-  // The consumer walks futures in submit order concurrently with arrivals,
-  // stamping each completion as its get() returns — within consumer lag of
-  // the true completion instant (requests finish near-FIFO here, so the lag
-  // is the time to pop already-ready futures).
-  struct Timed {
-    std::future<QTensor> fut;
-    Clock::time_point submitted;
-  };
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Timed> inbox;
-  bool arrivals_done = false;
-  SloResult r;
-  std::vector<double> met_us;
-  std::thread consumer([&] {
-    for (;;) {
-      Timed item;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return !inbox.empty() || arrivals_done; });
-        if (inbox.empty()) return;
-        item = std::move(inbox.front());
-        inbox.pop_front();
-      }
-      try {
-        item.fut.get();
-        ++r.completed;
-        const double e2e_us =
-            std::chrono::duration<double, std::micro>(Clock::now() - item.submitted).count();
-        if (e2e_us <= static_cast<double>(slo.count())) met_us.push_back(e2e_us);
-      } catch (const runtime::ServerRejected&) {
-        ++r.shed;
-      }
-    }
-  });
-
-  Rng rng(99);
-  Clock::time_point next = Clock::now();
-  for (int i = 0; i < n; ++i) {
-    const double gap_s = -std::log(1.0 - rng.uniform()) / offered_ips;
-    next += std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(gap_s));
-    std::this_thread::sleep_until(next);
-    runtime::SubmitOptions opt;
-    opt.deadline = slo;
-    const Clock::time_point t = Clock::now();
-    std::future<QTensor> fut =
-        server.submit("m", images[static_cast<std::size_t>(i) % images.size()], opt);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      inbox.push_back(Timed{std::move(fut), t});
-    }
-    cv.notify_one();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    arrivals_done = true;
-  }
-  cv.notify_one();
-  consumer.join();
-  server.drain();
-
-  r.attainment = static_cast<double>(met_us.size()) / static_cast<double>(n);
-  if (!met_us.empty()) {
-    std::sort(met_us.begin(), met_us.end());
-    const std::size_t rank =
-        std::min(met_us.size() - 1,
-                 static_cast<std::size_t>(std::ceil(0.99 * static_cast<double>(met_us.size()))));
-    r.met_p99_us = met_us[rank];
-  }
-  return r;
 }
 
 struct AutoscaleResult {
@@ -558,63 +429,7 @@ int run_bench() {
   jw.add("skew_rr_hot_completed", rr.stats.models[0].admission.completed);
   jw.add("skew_wd_hot_completed", wd.stats.models[0].admission.completed);
 
-  // --- Section 3: batched vs per-image dispatch -----------------------------
-  // Closed-loop saturated flood on one worker, max_batch 8: the queue stays
-  // full so every batch forms at max_batch, isolating the dispatch style.
-  // batched_execution=true runs each formed batch as ONE run_batch_view
-  // call (stationary operands amortized); =false is the per-request loop.
-  // Logits are bit-identical either way; the speedup is the whole point of
-  // batched execution. Measured on a 2-bit pooled deployment — the paper's
-  // low-precision regime, where the batch-transposed unpack in the SIMD
-  // bit-serial cores amortizes the most per-image work.
-  {
-    Session resnet_a2 = Deployment::from(rg)
-                            .with_pool(co)
-                            .seed_batchnorm(16)
-                            .calibrate(*d.train, qo)
-                            .act_bits(2)
-                            .compile();
-    std::printf("\nbench_server: batched vs per-image dispatch (1 worker, "
-                "max_batch 8, act_bits 2, saturated)\n");
-    std::printf("%-12s %10s %6s %12s %12s\n", "dispatch", "achieved/s", "batch", "exec p50 us",
-                "e2e p50 us");
-    double ips[2] = {0.0, 0.0};
-    for (int mode = 0; mode < 2; ++mode) {
-      const bool batched = mode == 1;
-      runtime::ServerOptions bo;
-      bo.workers = 1;
-      bo.batched_execution = batched;
-      bo.batching.max_batch = 8;
-      bo.batching.max_delay = microseconds{1000};
-      bo.queue.capacity = 1024;
-      bo.queue.policy = runtime::QueuePolicy::kBlock;
-      bswp::Server server(bo);
-      server.add("m", resnet_a2);
-      for (int i = 0; i < 2 * bo.batching.max_batch; ++i) server.submit("m", images[0]);
-      server.drain();  // worker + executor warm
-      server.reset_stats();
-      const int kSat = smoke_scaled(240, 24);
-      const Clock::time_point b0 = Clock::now();
-      for (int i = 0; i < kSat; ++i) {
-        server.submit("m", images[static_cast<std::size_t>(i) % images.size()]);
-      }
-      server.drain();
-      ips[mode] = kSat / std::chrono::duration<double>(Clock::now() - b0).count();
-      const runtime::ServerStats s = server.stats();
-      std::printf("%-12s %10.0f %6.2f %12.0f %12.0f\n", batched ? "batched" : "per-image",
-                  ips[mode], s.mean_batch_size, s.exec_latency.p50_us, s.latency.p50_us);
-      const std::string prefix = batched ? "dispatch_batched_" : "dispatch_perimg_";
-      jw.add(prefix + "per_s", ips[mode]);
-      jw.add(prefix + "mean_batch", s.mean_batch_size);
-      jw.add(prefix + "exec_p50_us", s.exec_latency.p50_us);
-    }
-    if (ips[0] > 0.0) {
-      std::printf("batched dispatch speedup: %.2fx\n", ips[1] / ips[0]);
-      jw.add("dispatch_batched_speedup", ips[1] / ips[0]);
-    }
-  }
-
-  // --- Section 4: autoscaler load step --------------------------------------
+  // --- Section 3: autoscaler load step --------------------------------------
   std::printf("\n");
   const AutoscaleResult as = run_autoscaler_step(resnet, capacity_1w, images);
   jw.add("autoscale_peak_workers", as.settled.peak_workers);
@@ -622,37 +437,6 @@ int run_bench() {
   jw.add("autoscale_scale_downs", as.settled.scale_down_events);
   jw.add("autoscale_burst_p99_us", as.burst_p99_us);
 
-  // --- Section 5: overload SLO attainment -----------------------------------
-  // 2x one worker's capacity, SLO at 3x the single-image execution time:
-  // roughly half the offered load is doomed no matter what — the question is
-  // whether the worker wastes time finishing it late (queue-only) or sheds
-  // it and spends the reclaimed time meeting deadlines (execution-aware).
-  {
-    const double slo_offered = 2.0 * capacity_1w;
-    const microseconds slo{static_cast<long long>(3.0 * img_us)};
-    // Smoke keeps enough requests that the met-request percentile has a
-    // real sample behind it (attainment ~10-40% of n).
-    const int n_slo = smoke_scaled(400, 96);
-    std::printf("\nbench_server: overload SLO attainment (1 worker, offered %.0f/s = 2.0x "
-                "capacity, SLO %lld us)\n",
-                slo_offered, static_cast<long long>(slo.count()));
-    std::printf("%-16s %10s %10s %8s %8s\n", "shedding", "attainment", "met p99", "done",
-                "shed");
-    const SloResult qo_r =
-        run_slo_overload(resnet, /*exec_aware=*/false, slo_offered, slo, n_slo, images);
-    std::printf("%-16s %9.1f%% %9.0f %8llu %8llu\n", "queue-only", 100.0 * qo_r.attainment,
-                qo_r.met_p99_us, static_cast<unsigned long long>(qo_r.completed),
-                static_cast<unsigned long long>(qo_r.shed));
-    const SloResult ea_r =
-        run_slo_overload(resnet, /*exec_aware=*/true, slo_offered, slo, n_slo, images);
-    std::printf("%-16s %9.1f%% %9.0f %8llu %8llu\n", "execution-aware", 100.0 * ea_r.attainment,
-                ea_r.met_p99_us, static_cast<unsigned long long>(ea_r.completed),
-                static_cast<unsigned long long>(ea_r.shed));
-    jw.add("slo_queueonly_attainment", qo_r.attainment);
-    jw.add("slo_execaware_attainment", ea_r.attainment);
-    jw.add("slo_queueonly_met_p99_us", qo_r.met_p99_us);
-    jw.add("slo_execaware_met_p99_us", ea_r.met_p99_us);
-  }
   jw.write("BENCH_server.json");
   return 0;
 }

@@ -1,5 +1,5 @@
 // Serving-path benchmark: steady-state throughput and heap-allocation count
-// of the arena Executor / ServingPool versus the per-run-allocation
+// of the arena Executor / Session::run_batch versus the per-run-allocation
 // execution style the runtime had before the arena refactor.
 //
 //   columns: engine              executions  allocs/run  img/s  p50/p95/p99 us
@@ -9,7 +9,8 @@
 // allocation profile of the old allocate-per-layer engine (one vector per
 // layer per run) collapsed into one block. "arena (reused)" is the
 // steady-state path: zero allocations per run. The worker rows measure
-// Session::run_batch on the persistent pool at 1/2/4/8 workers.
+// Session::run_batch (one executor per thread, 8-image chunks) at 1/2/4/8
+// threads.
 //
 // Emits BENCH_serving.json (bench::JsonWriter) for scripts/bench_compare.sh.
 #include <chrono>
@@ -97,13 +98,13 @@ int run_bench() {
     jw.add("arena_reused_allocs_per_img", static_cast<double>(alloc_count() - a0) / kIters);
   }
 
-  // 3. Persistent serving pool at 1/2/4/8 workers (second batch per count so
-  // the pool and its per-worker arenas are warm).
+  // 3. Session::run_batch at 1/2/4/8 threads (second call per count, so
+  // the weights and LUTs are cache-warm).
   for (int workers : {1, 2, 4, 8}) {
-    session.run_batch(images, workers);  // warm the pool
+    session.run_batch(images, workers);  // warm-up
     const BatchResult r = session.run_batch_stats(images, workers);
     char label[32];
-    std::snprintf(label, sizeof(label), "serving-pool x%d", workers);
+    std::snprintf(label, sizeof(label), "run_batch x%d", workers);
     std::printf("%-22s %10zu %11s %9.0f %9.0f %9.0f %9.0f\n", label, r.stats.images, "-",
                 r.stats.throughput_ips, r.stats.latency.p50_us, r.stats.latency.p95_us,
                 r.stats.latency.p99_us);
@@ -111,26 +112,6 @@ int run_bench() {
     jw.add(prefix + "_ips", r.stats.throughput_ips);
     jw.add(prefix + "_p50_us", r.stats.latency.p50_us);
     jw.add(prefix + "_p99_us", r.stats.latency.p99_us);
-  }
-  // 4. Batched executor calls vs the per-image steal loop: the same pool
-  // with exec_batch=8 (workers run chunks through one run_batch_view call)
-  // against exec_batch=1 (the pre-batching per-image loop). Results are
-  // bit-identical; the gap is the stationary-operand amortization.
-  for (int workers : {1, 4}) {
-    for (int exec_batch : {1, 8}) {
-      runtime::ServingPool pool(session.network(), exec_batch);
-      pool.run(images, workers);  // warm the pool
-      runtime::BatchStats s;
-      pool.run(images, workers, &s);
-      char label[32];
-      std::snprintf(label, sizeof(label), "pool x%d eb=%d", workers, exec_batch);
-      std::printf("%-22s %10zu %11s %9.0f %9.0f %9.0f %9.0f\n", label, s.images, "-",
-                  s.throughput_ips, s.latency.p50_us, s.latency.p95_us, s.latency.p99_us);
-      const std::string prefix = "pool_x" + std::to_string(workers) +
-                                 (exec_batch > 1 ? "_batched" : "_perimg");
-      jw.add(prefix + "_ips", s.throughput_ips);
-      jw.add(prefix + "_p50_us", s.latency.p50_us);
-    }
   }
   jw.write("BENCH_serving.json");
   return 0;

@@ -8,8 +8,11 @@
 #                    `scripts/bench_smoke.sh` ... must exist as files/dirs;
 #   2. symbol-like — namespace-qualified identifiers such as
 #                    `runtime::InferenceServer` or `pool::CodecOptions`:
-#                    the final component must appear somewhere under
-#                    src/ tests/ bench/ examples/ scripts/.
+#                    the final component must appear in a code file
+#                    (*.h, *.cpp, *.sh, *.py) under
+#                    src/ tests/ bench/ examples/ scripts/. Prose files
+#                    (READMEs, baselines) do not count: a deleted symbol
+#                    still named in prose must not resolve.
 #
 # Usage: scripts/check_docs.sh   (from anywhere; resolves the repo root)
 set -uo pipefail
@@ -32,7 +35,8 @@ for doc in docs/*.md README.md; do
   while IFS= read -r sym; do
     leaf="${sym##*::}"
     [ -n "$leaf" ] || continue
-    if ! grep -rqF "$leaf" src/ tests/ bench/ examples/ scripts/ 2>/dev/null; then
+    if ! grep -rqF --include='*.h' --include='*.cpp' --include='*.sh' --include='*.py' \
+         "$leaf" src/ tests/ bench/ examples/ scripts/ 2>/dev/null; then
       echo "MISSING SYMBOL $doc -> $sym"
       status=1
     fi

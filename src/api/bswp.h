@@ -21,9 +21,9 @@
 //     time (the act_bits/calibration mismatch footgun of the old free
 //     functions is gone).
 //
-//   bswp::Session — the inference object: run / run_batch (persistent
-//     serving pool, bit-identical to sequential execution), evaluate,
-//     footprint, estimate_latency, save/load, export_firmware.
+//   bswp::Session — the inference object: run / run_batch (parallel-for
+//     over per-thread executors, bit-identical to sequential execution),
+//     evaluate, footprint, estimate_latency, save/load, export_firmware.
 //
 //   bswp::Server — the async serving front end: register any number of
 //     compiled sessions by name, submit individual requests
@@ -37,15 +37,13 @@
 //
 // Execution is arena-based end to end: every Session inference runs through
 // a runtime::Executor whose activations and scratch live in one
-// MemoryPlanner-laid-out block, and run_batch keeps a lazily created
-// ServingPool of executor-per-worker threads alive across batches. Code
-// that needs a long-lived single-thread inference loop can hold a
-// runtime::Executor (src/runtime/executor.h) directly.
+// MemoryPlanner-laid-out block; run_batch builds one batch-8 Executor per
+// thread for the call. Code that needs a long-lived single-thread inference
+// loop can hold a runtime::Executor (src/runtime/executor.h) directly.
 #pragma once
 
 #include <future>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,20 +56,32 @@
 #include "runtime/evaluate.h"
 #include "runtime/frontdoor/front_door.h"
 #include "runtime/pipeline.h"
+#include "runtime/latency_recorder.h"
 #include "runtime/server/inference_server.h"
-#include "runtime/serving_pool.h"
 #include "runtime/sessions/session_manager.h"
 
 namespace bswp {
 
+/// Latency distribution of one Session::run_batch_stats call.
+struct BatchStats {
+  std::size_t images = 0;
+  int workers = 0;               // threads used (1 = the caller alone)
+  double wall_seconds = 0.0;     // call wall time, start to last result
+  double throughput_ips = 0.0;   // images / wall_seconds
+  /// Per-image engine latency (microseconds, nearest-rank percentiles): the
+  /// image's share of its batched chunk's wall time.
+  runtime::LatencySummary latency;
+};
+
 /// Batched inference outputs plus the batch's latency distribution.
 struct BatchResult {
   std::vector<QTensor> logits;
-  runtime::BatchStats stats;
+  BatchStats stats;
 };
 
 /// A compiled, deployable network plus everything you do with one.
-/// Move-only: the session owns its persistent serving pool.
+/// Move-only: the compiled network is heap-pinned, so servers that borrowed
+/// it keep working after a move.
 class Session {
  public:
   /// Adopt an already-compiled network (the escape hatch for code that built
@@ -87,11 +97,13 @@ class Session {
   QTensor run(const Tensor& image, sim::CostCounter* counter = nullptr) const;
   /// Run and dequantize logits.
   Tensor run_logits(const Tensor& image, sim::CostCounter* counter = nullptr) const;
-  /// Batched inference for server-style traffic on the session's persistent
-  /// worker pool (created on first use, reused across batches; one arena
-  /// Executor per worker). Results are bit-identical to calling run() on
-  /// each image sequentially, regardless of n_threads. The first per-image
-  /// error stops the batch early and is rethrown. Cost counting is not
+  /// Batched inference for a batch already in hand: a parallel-for over
+  /// min(n_threads, images) threads (the caller is one of them), each with
+  /// its own arena Executor, taking 8-image chunks that each run as one
+  /// batched executor call. Stateless, so concurrent calls on one Session
+  /// are safe. Results are bit-identical to calling run() on each image
+  /// sequentially, regardless of n_threads. The first error stops every
+  /// thread from taking further chunks and is rethrown. Cost counting is not
   /// supported in batch mode.
   std::vector<QTensor> run_batch(std::span<const Tensor> images, int n_threads = 1) const;
   std::vector<QTensor> run_batch(const std::vector<Tensor>& images, int n_threads = 1) const {
@@ -128,14 +140,8 @@ class Session {
   int act_bits() const { return net_->act_bits; }
 
  private:
-  runtime::ServingPool& pool() const;
-
-  /// Heap-pinned so the serving pool's borrowed pointer survives moves.
+  /// Heap-pinned so the servers' borrowed pointers survive moves.
   std::unique_ptr<runtime::CompiledNetwork> net_;
-  /// Lazily created persistent worker pool (unique_ptr keeps the Session
-  /// movable; the heap mutex guards first-use creation from racing threads).
-  mutable std::unique_ptr<runtime::ServingPool> pool_;
-  mutable std::unique_ptr<std::mutex> pool_mu_;
 };
 
 /// Async multi-model inference server over compiled sessions: individual
@@ -360,9 +366,6 @@ class Deployment {
   /// hold group dot products, so B_l=16 is the exact-LUT configuration.
   Deployment& lut_bits(int bits);
   Deployment& lut_order(pool::LutOrder order);
-  /// How SelectBackends picks bit-serial variants: the cost model (default)
-  /// or the paper's §4.3 filters-vs-pool-size heuristic.
-  Deployment& backend_select(runtime::BackendSelect mode);
   /// MCU profile pricing the cost model (defaults to MC-large). Pass the
   /// profile you will deploy on so variant choice optimizes that target.
   Deployment& cost_profile(const sim::McuProfile& profile);
@@ -375,9 +378,6 @@ class Deployment {
   Deployment& host_profile(const sim::McuProfile& profile);
   /// Record per-pass lowering trace entries in compile_report().
   Deployment& pass_trace(bool enabled);
-  /// Heuristic mode only: enable/disable the automatic precompute policy
-  /// (§4.3). Ignored by the cost model, which prices precompute directly.
-  Deployment& auto_precompute(bool enabled);
   /// Force one bit-serial variant for every pooled layer (ablations).
   /// Requires a pool at compile() time.
   Deployment& force_variant(kernels::BitSerialVariant variant);

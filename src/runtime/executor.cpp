@@ -29,9 +29,10 @@ Executor::Executor(const CompiledNetwork& net, int max_batch)
   }
 }
 
-const kernels::QView& Executor::run_view(const Tensor& image, sim::CostCounter* counter,
-                                         const CancelToken* cancel) {
+const kernels::QView& Executor::walk(const Tensor* images, int n, sim::CostCounter* counter,
+                                     sim::CostCounter* per_layer, const CancelToken* cancel) {
   const CompiledNetwork& net = *net_;
+  last_batch_ = 0;  // a cancelled or failed walk leaves no logits to view
   for (std::size_t p = 0; p < net.plans.size(); ++p) {
     if (cancel != nullptr && cancel->should_cancel(p)) {
       throw ExecutionCancelled("Executor: run cancelled at layer boundary " +
@@ -40,17 +41,28 @@ const kernels::QView& Executor::run_view(const Tensor& image, sim::CostCounter* 
     scratch_.reset();
     ExecContext ctx{net,
                     net.plans[p],
-                    &image,
+                    images,
                     inputs_.data() + input_start_[p],
                     static_cast<int>(net.plans[p].inputs.size()),
                     &views_[p],
                     &scratch_,
-                    counter};
-    backends_[p]->execute(ctx);
+                    per_layer != nullptr ? &per_layer[p] : counter,
+                    n};
+    if (n == 1) {
+      backends_[p]->execute(ctx);
+    } else {
+      backends_[p]->execute_batch(ctx);
+    }
     check(views_[p].len <= net.plans[p].out_elems(),
           "Executor: backend overflowed its planned output slot");
   }
+  last_batch_ = n;
   return views_.back();
+}
+
+const kernels::QView& Executor::run_view(const Tensor& image, sim::CostCounter* counter,
+                                         const CancelToken* cancel) {
+  return walk(&image, 1, counter, nullptr, cancel);
 }
 
 const kernels::QView& Executor::run_batch_view(std::span<const Tensor> images,
@@ -59,32 +71,11 @@ const kernels::QView& Executor::run_batch_view(std::span<const Tensor> images,
   const int n = static_cast<int>(images.size());
   check(n >= 1, "Executor: run_batch_view needs at least one image");
   check(n <= max_batch_, "Executor: batch exceeds the executor's max_batch");
-  if (n == 1) return run_view(images[0], counter, cancel);
-  const CompiledNetwork& net = *net_;
-  for (std::size_t p = 0; p < net.plans.size(); ++p) {
-    if (cancel != nullptr && cancel->should_cancel(p)) {
-      throw ExecutionCancelled("Executor: batch cancelled at layer boundary " +
-                               std::to_string(p) + " ('" + net.plans[p].name + "')");
-    }
-    scratch_.reset();
-    ExecContext ctx{net,
-                    net.plans[p],
-                    images.data(),
-                    inputs_.data() + input_start_[p],
-                    static_cast<int>(net.plans[p].inputs.size()),
-                    &views_[p],
-                    &scratch_,
-                    counter,
-                    n};
-    backends_[p]->execute_batch(ctx);
-    check(views_[p].len <= net.plans[p].out_elems(),
-          "Executor: backend overflowed its planned output slot");
-  }
-  return views_.back();
+  return walk(images.data(), n, counter, nullptr, cancel);
 }
 
 kernels::QView Executor::logits_view(int i) const {
-  check(i >= 0 && i < max_batch_, "Executor: logits_view index out of range");
+  check(i >= 0 && i < last_batch_, "Executor: logits_view index outside the last run");
   kernels::QView v = views_.back();
   v.data += static_cast<std::size_t>(i) * net_->plans.back().out_elems();
   return v;
@@ -96,22 +87,8 @@ QTensor Executor::run(const Tensor& image, sim::CostCounter* counter,
 }
 
 std::vector<sim::CostCounter> Executor::profile_layers(const Tensor& image) {
-  const CompiledNetwork& net = *net_;
-  std::vector<sim::CostCounter> per_layer(net.plans.size());
-  for (std::size_t p = 0; p < net.plans.size(); ++p) {
-    scratch_.reset();
-    ExecContext ctx{net,
-                    net.plans[p],
-                    &image,
-                    inputs_.data() + input_start_[p],
-                    static_cast<int>(net.plans[p].inputs.size()),
-                    &views_[p],
-                    &scratch_,
-                    &per_layer[p]};
-    backends_[p]->execute(ctx);
-    check(views_[p].len <= net.plans[p].out_elems(),
-          "Executor: backend overflowed its planned output slot");
-  }
+  std::vector<sim::CostCounter> per_layer(net_->plans.size());
+  walk(&image, 1, nullptr, per_layer.data(), nullptr);
   return per_layer;
 }
 

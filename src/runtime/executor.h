@@ -17,8 +17,12 @@
 //
 // This replaces the PR-1-era free functions runtime::run / run_logits /
 // resolve_backends (which allocated every activation on every call). One-off
-// callers go through bswp::Session; sustained traffic holds an Executor (or
-// a ServingPool of them) and reuses it across inferences.
+// callers go through bswp::Session; sustained traffic holds an Executor (one
+// per thread, as Session::run_batch and the InferenceServer workers do) and
+// reuses it across inferences.
+//
+// run_view, run_batch_view and profile_layers share one layer loop; they
+// differ only in the image count, where the tallies go and the cancel token.
 //
 // Cancellation: run_view/run_batch_view take an optional CancelToken and
 // check it at every layer boundary (the top of each plan iteration, so a
@@ -72,7 +76,9 @@ class Executor {
                                        sim::CostCounter* counter = nullptr,
                                        const CancelToken* cancel = nullptr);
 
-  /// Logits view of image i from the last run_batch_view() call. The view's
+  /// Logits view of image i from the last completed run (run_view counts as
+  /// a run of one image). Throws when i is outside that run, so logits left
+  /// over from an earlier, larger batch are never returned. The view's
   /// metadata is shared; data points at image i's slice.
   kernels::QView logits_view(int i) const;
 
@@ -82,7 +88,7 @@ class Executor {
 
   /// One plan walk of `image` tallying each layer's kernel events into its
   /// own CostCounter (index = plan index). This is the estimate source for
-  /// execution-aware deadlines: price each counter with a sim::McuProfile
+  /// the server's execution-aware deadlines: price each counter with a sim::McuProfile
   /// (sim::host_profile() for this host) and suffix-sum to get the
   /// remaining-execution schedule a CancelToken can be armed with. Allocates
   /// (the result vector) — a registration-time call, not a serving-path one.
@@ -102,8 +108,15 @@ class Executor {
   std::size_t scratch_high_water() const { return scratch_.high_water(); }
 
  private:
+  /// The one layer loop: every plan for `n` contiguous images (n == 1 takes
+  /// the per-image cores), tallying into `counter`, or into per_layer[p] when
+  /// `per_layer` is non-null, and checking `cancel` at every layer boundary.
+  const kernels::QView& walk(const Tensor* images, int n, sim::CostCounter* counter,
+                             sim::CostCounter* per_layer, const CancelToken* cancel);
+
   const CompiledNetwork* net_;
   int max_batch_ = 1;
+  int last_batch_ = 0;  // images in the last completed run (0 = none)
   std::vector<const KernelBackend*> backends_;
   MemoryPlan plan_;
   std::unique_ptr<std::byte[]> arena_;

@@ -19,9 +19,9 @@
 // that variant; every other kind resolves with kAnyVariant. Lookup tries the
 // exact (kind, variant) key first and falls back to (kind, kAnyVariant).
 //
-// Who resolves from here: every runtime::Executor — including the one-per
-// worker×model executors the serving layers (runtime::ServingPool,
-// runtime::InferenceServer) keep warm — resolves its backends once at
+// Who resolves from here: every runtime::Executor — including the one-per-
+// thread executors of bswp::Session::run_batch and the worker×model
+// executors runtime::InferenceServer keeps warm — resolves its backends once at
 // construction and holds raw pointers for its lifetime. Register custom
 // backends at setup, before executors exist; see the hot-swap caveat on
 // add(). docs/architecture.md §6 places this seam in the full pipeline.

@@ -1,6 +1,6 @@
 // Shared latency accounting for the serving layers.
 //
-// ServingPool's BatchStats and the InferenceServer's ServerStats both report
+// Session::run_batch's BatchStats and the InferenceServer's ServerStats both report
 // nearest-rank percentiles over per-request latencies; LatencyRecorder is the
 // one implementation of that accounting. It records microsecond samples into
 // an optionally bounded window (a long-running server must not grow a sample
@@ -8,9 +8,9 @@
 // and percentiles describe the most recent `cap` requests) and summarizes on
 // demand.
 //
-// Thread safety: none. Callers that record from multiple threads (the
-// serving pool's workers write per-image slots, the inference server records
-// under its state mutex) synchronize externally.
+// Thread safety: none. Callers that record from multiple threads (run_batch
+// threads write per-image slots, the inference server records under its
+// state mutex) synchronize externally.
 #pragma once
 
 #include <algorithm>

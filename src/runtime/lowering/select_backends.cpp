@@ -1,16 +1,16 @@
 // SelectBackends: assign every live node its PlanKind and, for pooled
 // layers, the bit-serial variant that will execute it.
 //
-// In kCostModel mode (the default) the choice is a measured-cost decision:
-// sim/layer_cost.h predicts the exact event counts of all five bit-serial
-// variants (the counts are closed-form in geometry and pool indices — see
-// tests/test_layer_cost.cpp), CompileOptions::cost_profile prices them in
-// cycles, and the cheapest variant wins. Because per-layer cycles are
-// additive, per-layer argmin is optimal for whole-network simulated latency
-// — it can only match or beat the §4.3 filters-vs-pool-size heuristic,
-// which remains available as BackendSelect::kHeuristic for ablations. The
-// baseline int8 kernel is priced alongside for the report, but never chosen
-// for a pooled layer (it computes different numerics than the LUT path).
+// The variant choice is a measured-cost decision: sim/layer_cost.h predicts
+// the exact event counts of all five bit-serial variants (the counts are
+// closed-form in geometry and pool indices — see tests/test_layer_cost.cpp),
+// CompileOptions::cost_profile prices them in cycles, and the cheapest
+// variant wins. Because per-layer cycles are additive, per-layer argmin is
+// optimal for whole-network simulated latency — it can only match or beat
+// the §4.3 filters-vs-pool-size heuristic, whose pick is priced alongside as
+// the report's heuristic_cycles reference. The baseline int8 kernel is
+// priced for the report too, but never chosen for a pooled layer (it
+// computes different numerics than the LUT path).
 //
 // Orthogonally, every conv/linear layer gets a HostLane: the scalar
 // reference kernels or the SIMD family under src/kernels/simd/. Both lanes
@@ -86,15 +86,15 @@ class SelectBackends : public Pass {
   }
 
  private:
-  /// The pre-cost-model layer policy (§4.2-4.3): precompute when filters
-  /// exceed the pool size; cache when the filter loop amortizes the block
-  /// copies; flash reads for very narrow layers. Linear layers were always
-  /// cached.
+  /// The pre-cost-model layer policy (§4.2-4.3), kept only as the report's
+  /// reference point: precompute when filters exceed the pool size; cache
+  /// when the filter loop amortizes the block copies; flash reads for very
+  /// narrow layers. Linear layers were always cached.
   static BitSerialVariant heuristic_variant(const PassContext& ctx, const PlanNode& n,
                                             int pool_size) {
     if (n.op == nn::Op::kLinear) return BitSerialVariant::kCached;
     const int out_ch = ctx.graph.node(n.graph_node).conv.out_ch;
-    if (ctx.opt.auto_precompute && kernels::should_precompute(out_ch, pool_size)) {
+    if (kernels::should_precompute(out_ch, pool_size)) {
       return BitSerialVariant::kCachedPrecompute;
     }
     if (out_ch * 4 >= pool_size) return BitSerialVariant::kCached;
@@ -108,13 +108,9 @@ class SelectBackends : public Pass {
       return false;
     }
     check(ctx.lut != nullptr, "SelectBackends: pooled layer without a LUT");
-    if (ctx.opt.backend_select == BackendSelect::kHeuristic) {
-      n.variant = heuristic_variant(ctx, n, ctx.lut->pool_size);
-      return false;
-    }
 
-    // Cost-model mode: price every variant (and the baseline kernel, for the
-    // report) under the compile profile.
+    // Price every variant (and the baseline kernel, for the report) under
+    // the compile profile.
     const PlanNode& src = pg.node(n.inputs[0]);
     check(src.quant_assigned, "SelectBackends: producer of '" + n.name + "' lacks quantization");
     const int M = src.oq.bits;  // bit-serial loop depth = input bitwidth

@@ -112,15 +112,15 @@ struct InferenceServer::ModelState {
   std::string id;
   const CompiledNetwork* net;
   ModelConfig config;
-  /// The compiled input CHW, for pre-dispatch shape validation under batched
-  /// execution (empty when the network has no kInput plan).
+  /// The compiled input CHW, for pre-dispatch shape validation (empty when
+  /// the network has no kInput plan).
   std::vector<int> input_chw;
   /// Execution-aware deadline schedule: remaining_us[p] is the estimated
   /// per-image microseconds from layer p (inclusive) to the end of the plan,
   /// from a one-time CostCounter capture at register_model priced with
   /// sim::host_profile(). Immutable after registration, so workers may read
   /// it without mu_ (CancelToken borrows the data pointer). Empty when
-  /// execution-aware deadlines are off or profiling failed for this model.
+  /// profiling failed for this model.
   std::vector<double> remaining_us;
   /// EWMA calibration of the cost model against measured executor wall time
   /// (measured / predicted, per image). Guarded by mu_; 1.0 until the first
@@ -259,7 +259,7 @@ void InferenceServer::register_model(const std::string& model_id, const Compiled
   check(!net.plans.empty(), "InferenceServer::register_model: empty network");
   validate(config, "InferenceServer::register_model");
   auto state = std::make_unique<ModelState>(model_id, net, config, options_.latency_window);
-  if (options_.execution_aware_deadlines && state->input_chw.size() == 3) {
+  if (state->input_chw.size() == 3) {
     // One-time per-layer cost capture: the estimate source for execution-
     // aware deadlines. A throwaway single-image Executor runs the plan once,
     // each layer tallying its own CostCounter; the host profile prices the
@@ -714,10 +714,10 @@ void InferenceServer::worker_main(int wid) {
   // stable ModelState address; arenas stay warm across batches (and across
   // descale/rescale — a parked worker keeps its cache, which is what makes
   // affinity hits resume immediately after a scale-up). Executors are built
-  // with the model's max_batch so batched dispatch has the arena slots.
+  // with the model's max_batch, so every formed batch runs as one call.
   std::unordered_map<const ModelState*, std::unique_ptr<Executor>> executors;
-  // Batched dispatch stages validated images contiguously here (Tensor moves
-  // only) so the whole batch goes through ONE run_batch_view span; both
+  // Dispatch stages validated images contiguously here (Tensor moves only)
+  // so the whole batch goes through ONE run_batch_view span; both
   // vectors keep their capacity across batches, so the steady state of a
   // warm worker performs no heap allocations on the dispatch path.
   std::vector<Tensor> staging;
@@ -769,8 +769,7 @@ void InferenceServer::worker_main(int wid) {
     std::exception_ptr build_error;
     if (exec == nullptr) {
       try {
-        exec = std::make_unique<Executor>(
-            *m.net, options_.batched_execution ? m.config.batching.max_batch : 1);
+        exec = std::make_unique<Executor>(*m.net, m.config.batching.max_batch);
         built = true;
       } catch (...) {
         build_error = std::current_exception();
@@ -795,26 +794,23 @@ void InferenceServer::worker_main(int wid) {
     // sheds the run at the first layer boundary where the deadline can no
     // longer be met — for a batch that was never feasible, that is layer 0,
     // before any work is wasted on it.
-    const bool exec_aware = options_.execution_aware_deadlines && !m.remaining_us.empty();
     const auto arm_token = [&](Clock::time_point dl, std::size_t n_images) {
       cancel.disarm();
-      if (exec_aware && dl != Clock::time_point::max()) {
+      if (!m.remaining_us.empty() && dl != Clock::time_point::max()) {
         cancel.arm(clock_, dl, m.remaining_us.data(), m.remaining_us.size(),
                    cost_scale * static_cast<double>(n_images));
       }
     };
-    const auto shed_error = [] {
-      return std::make_exception_ptr(ServerRejected(
+    const auto mark_shed = [](Outcome& o) {
+      o.shed = true;
+      o.error = std::make_exception_ptr(ServerRejected(
           ServerRejected::Reason::kDeadlineExpired,
           "InferenceServer: in-flight work shed at a layer boundary (deadline "
           "unreachable)"));
     };
-    const bool batched = options_.batched_execution && build_error == nullptr &&
-                         task.requests.size() > 1 &&
-                         static_cast<int>(task.requests.size()) <= exec->max_batch();
     if (build_error != nullptr) {
       for (Outcome& o : outcomes) o.error = build_error;
-    } else if (batched) {
+    } else {
       // Up-front shape validation: a bad request fails its own future here
       // and never enters the batch, so its neighbours still ride the single
       // batched executor call.
@@ -838,18 +834,23 @@ void InferenceServer::worker_main(int wid) {
         // outright, because the batch must complete for it.
         arm_token(latest_deadline, staging.size());
         const Clock::time_point exec_t0 = clock_->now();
-        bool batch_ok = true;
+        std::exception_ptr batch_error;
         bool batch_shed = false;
         try {
           exec->run_batch_view(std::span<const Tensor>(staging.data(), staging.size()),
                                nullptr, &cancel);
         } catch (const ExecutionCancelled&) {
-          batch_ok = false;
           batch_shed = true;
         } catch (...) {
-          batch_ok = false;
+          batch_error = std::current_exception();
         }
-        if (batch_ok) {
+        if (batch_shed) {
+          // Deliberate shed: no member could meet its SLO, so the run was
+          // abandoned at a layer boundary. No per-image fallback — re-running
+          // doomed work is exactly the waste this path removes. The arena is
+          // rewritten wholesale by the next run, so nothing partial escapes.
+          for (std::size_t req : staged_req) mark_shed(outcomes[req]);
+        } else if (batch_error == nullptr) {
           const double per_image_us = micros_between(exec_t0, clock_->now()) /
                                       static_cast<double>(staging.size());
           for (std::size_t k = 0; k < staging.size(); ++k) {
@@ -858,16 +859,8 @@ void InferenceServer::worker_main(int wid) {
             o.exec_us = per_image_us;
             o.ran = true;
           }
-        } else if (batch_shed) {
-          // Deliberate shed: no member could meet its SLO, so the run was
-          // abandoned at a layer boundary. No per-image fallback — re-running
-          // doomed work is exactly the waste this path removes. The arena is
-          // rewritten wholesale by the next run, so nothing partial escapes.
-          for (std::size_t k = 0; k < staging.size(); ++k) {
-            Outcome& o = outcomes[staged_req[k]];
-            o.shed = true;
-            o.error = shed_error();
-          }
+        } else if (staging.size() == 1) {
+          outcomes[staged_req[0]].error = batch_error;  // nothing to isolate
         } else {
           // The batched call failed as a whole; per-image fallback isolates
           // the failing request to its own future. Solo runs are governed by
@@ -881,8 +874,7 @@ void InferenceServer::worker_main(int wid) {
               o.exec_us = micros_between(r0, clock_->now());
               o.ran = true;
             } catch (const ExecutionCancelled&) {
-              o.shed = true;
-              o.error = shed_error();
+              mark_shed(o);
             } catch (...) {
               o.error = std::current_exception();
             }
@@ -890,25 +882,6 @@ void InferenceServer::worker_main(int wid) {
         }
         cancel.disarm();
       }
-    } else {
-      for (std::size_t i = 0; i < task.requests.size(); ++i) {
-        Outcome& o = outcomes[i];
-        // A bad request (e.g. wrong input shape) fails its own future only;
-        // batch neighbours are other clients' requests.
-        arm_token(task.requests[i].deadline, 1);
-        const Clock::time_point r0 = clock_->now();
-        try {
-          o.logits = exec->run(task.requests[i].image, nullptr, &cancel);
-          o.exec_us = micros_between(r0, clock_->now());
-          o.ran = true;
-        } catch (const ExecutionCancelled&) {
-          o.shed = true;
-          o.error = shed_error();
-        } catch (...) {
-          o.error = std::current_exception();
-        }
-      }
-      cancel.disarm();
     }
     const Clock::time_point done = clock_->now();
     for (std::size_t i = 0; i < task.requests.size(); ++i) {

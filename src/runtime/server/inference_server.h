@@ -112,9 +112,10 @@ class InferenceServer {
                               RequestClass cls = RequestClass::kNormal);
   /// Submit with the full per-request option set: priority class plus an
   /// optional session-affinity key (sticky worker placement for stateful
-  /// sequences) and an optional queue-residency deadline (expired requests
-  /// fail with ServerRejected::Reason::kDeadlineExpired before reaching a
-  /// worker). See SubmitOptions for the exact semantics of each knob.
+  /// sequences) and an optional completion deadline (unmeetable requests
+  /// fail with ServerRejected::Reason::kDeadlineExpired, in the queue or at
+  /// a layer boundary). See SubmitOptions for the exact semantics of each
+  /// knob.
   std::future<QTensor> submit(const std::string& model_id, Tensor image,
                               const SubmitOptions& options);
 
@@ -172,15 +173,15 @@ class InferenceServer {
   ModelState* select_model_locked(std::chrono::steady_clock::time_point now,
                                   std::chrono::steady_clock::time_point* next_deadline);
   /// Purge requests whose SubmitOptions::deadline is unmeetable: elapsed in
-  /// queue, or — under execution_aware_deadlines — with less slack left
-  /// than the model's (calibrated) execution estimate, so dispatching them
+  /// queue, or with less slack left than the model's (calibrated)
+  /// execution estimate, so dispatching them
   /// would only waste a worker. Fails their futures with kDeadlineExpired.
   /// Feeds the earliest surviving effective deadline (deadline minus the
   /// execution estimate) into `next_deadline`. Lock held.
   void expire_deadlines_locked(ModelState& m, std::chrono::steady_clock::time_point now,
                                std::chrono::steady_clock::time_point* next_deadline);
   /// The model's calibrated whole-network execution estimate, as a clock
-  /// duration (zero when unavailable or execution-aware deadlines are off).
+  /// duration (zero when profiling failed for the model).
   /// Lock held (reads the calibration EWMA).
   std::chrono::steady_clock::duration exec_estimate_locked(const ModelState& m) const;
   /// Free live worker for `m`, preferring (1) the sticky worker of the next

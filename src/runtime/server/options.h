@@ -24,7 +24,9 @@ struct BatchingPolicy {
   /// Largest batch the scheduler will form (default 8, must be >= 1). Also
   /// the per-dispatch quantum of the weighted scheduler: a model with
   /// priority weight w may dispatch up to w batches of up to `max_batch`
-  /// requests per scheduling cycle.
+  /// requests per scheduling cycle. Workers build their arena executors with
+  /// `max_batch` image slots and run each formed batch as one
+  /// Executor::run_batch_view call (see docs/serving.md § batched execution).
   int max_batch = 8;
   /// Longest the oldest queued request may wait before a partial batch is
   /// forced out (default 2 ms; 0 dispatches immediately, trading batch size
@@ -99,17 +101,16 @@ struct SubmitOptions {
   /// Completion deadline measured from admission (0 = none). A request
   /// still queued when its deadline elapses is purged by the scheduler and
   /// its future fails with ServerRejected::Reason::kDeadlineExpired — it
-  /// never reaches a worker. Under ServerOptions::execution_aware_deadlines
-  /// (the default) the deadline bounds *completion*, not just queueing: the
+  /// never reaches a worker. The deadline bounds *completion*, not just
+  /// queueing: the server prices every registered model's per-layer
+  /// execution once (a CostCounter capture priced with sim::host_profile(),
+  /// calibrated against measured executor time as batches complete), the
   /// scheduler purges a request as soon as its remaining slack no longer
-  /// covers the model's estimated execution time (refuse-to-dispatch), and
-  /// a dispatched batch whose every member's SLO has become unreachable is
-  /// shed at the next layer boundary mid-run — those futures fail with the
-  /// same kDeadlineExpired, and no partial result is ever observable. With
-  /// execution_aware_deadlines = false the deadline bounds queue residency
-  /// only and dispatched work always runs to completion (the pre-SLO
-  /// behavior, kept for ablation — bench/bench_server.cpp measures the
-  /// attainment gap).
+  /// covers that estimate (refuse-to-dispatch), and a dispatched batch whose
+  /// every member's SLO has become unreachable is shed at the next layer
+  /// boundary mid-run — those futures fail with the same kDeadlineExpired,
+  /// and no partial result is ever observable. A model whose profiling
+  /// failed falls back to queue-residency deadlines.
   std::chrono::microseconds deadline{0};
 };
 
@@ -193,16 +194,6 @@ struct ModelConfig {
 };
 
 struct ServerOptions {
-  /// Execute each formed batch as ONE batched executor call
-  /// (Executor::run_batch_view) instead of a per-request loop (default
-  /// true). Workers build their arena executors with
-  /// BatchingPolicy::max_batch activation slots, every request's input shape
-  /// is validated before the batch forms (a bad request fails its own future
-  /// and never enters the batched call), and a batched call that throws
-  /// falls back to per-image execution — logits are bit-identical either
-  /// way, so this trades nothing but wall-clock. Disable only for ablations
-  /// against the per-request dispatch loop.
-  bool batched_execution = true;
   /// Worker threads shared by every registered model (default 2, >= 1).
   /// Each worker lazily builds one arena Executor per model it actually
   /// serves, and the scheduler prefers placing a model on a worker that
@@ -222,18 +213,6 @@ struct ServerOptions {
   /// 65536; 0 keeps every sample — fine for tests, unbounded for a
   /// long-running server).
   std::size_t latency_window = 1 << 16;
-  /// Execution-aware SLO enforcement for SubmitOptions::deadline (default
-  /// true). The server derives a per-layer execution-time estimate for each
-  /// registered model from a one-time per-layer CostCounter capture priced
-  /// with sim::host_profile() (calibrated against measured executor time as
-  /// batches complete), then (a) refuses to dispatch a request whose
-  /// remaining slack no longer covers its estimated execution — purged with
-  /// kDeadlineExpired before wasting a worker — and (b) arms a CancelToken
-  /// on every dispatched batch so in-flight work is shed at the next layer
-  /// boundary once no member's SLO is reachable. false restores queue-
-  /// residency-only deadlines (dispatched work runs to completion) for
-  /// ablation.
-  bool execution_aware_deadlines = true;
   /// Time source for every timed decision (batching windows, deadlines,
   /// autoscaler cadence, latency stamps). Null (the default) means the
   /// process steady clock; tests inject a runtime::ManualClock to make

@@ -65,8 +65,8 @@ namespace bswp::runtime {
 using SessionId = std::uint64_t;
 
 struct SessionManagerOptions {
-  /// Per-token deadline forwarded as SubmitOptions::deadline (0 = none);
-  /// execution-aware under ServerOptions::execution_aware_deadlines. An
+  /// Per-token deadline forwarded as SubmitOptions::deadline (0 = none), so
+  /// it bounds the step's completion, not just its queueing. An
   /// expired or shed step is retried without a deadline: misses are
   /// counted, tokens are never dropped.
   std::chrono::microseconds token_deadline{0};

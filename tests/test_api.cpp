@@ -208,7 +208,7 @@ TEST(Session, RejectsMismatchedInputShape) {
   EXPECT_THROW(session.run(Tensor({3, 12, 16}, 0.1f)), std::invalid_argument);   // width
   EXPECT_THROW(session.run(Tensor({2, 3, 12, 12}, 0.1f)), std::invalid_argument);  // batch
   EXPECT_NO_THROW(session.run(Tensor({3, 12, 12}, 0.1f)));
-  // A batch with one bad image propagates the error out of the pool.
+  // A batch with one bad image propagates the error out of run_batch.
   std::vector<Tensor> images(3, Tensor({3, 12, 12}, 0.1f));
   images[1] = Tensor({5, 12, 12}, 0.1f);
   EXPECT_THROW(session.run_batch(images, 2), std::invalid_argument);

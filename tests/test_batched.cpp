@@ -3,7 +3,7 @@
 // sizes), CostCounter batch-invariance (a batched run tallies exactly N x
 // the per-image counts, so MCU latency estimates never depend on serving
 // batch size), the zero-heap-allocation guarantee of the warm batched path,
-// the XNOR batched core, and the ServingPool's chunked batched steal loop.
+// the XNOR batched core, and Session::run_batch's chunked parallel-for.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -17,7 +17,6 @@
 #include "core/rng.h"
 #include "models/zoo.h"
 #include "runtime/executor.h"
-#include "runtime/serving_pool.h"
 
 namespace bswp::runtime {
 namespace {
@@ -148,6 +147,25 @@ TEST(BatchedExecutor, SteadyStateBatchRunIsAllocationFree) {
   EXPECT_EQ(after, before) << "Executor::run_batch_view allocated on the heap in steady state";
 }
 
+TEST(BatchedExecutor, LogitsViewOnlyCoversTheLastRun) {
+  // A smaller run after a larger one leaves the larger run's logits in the
+  // arena; logits_view must refuse them instead of returning stale data.
+  ZooCase c = make_case(models::paper_models()[0], 88, 8);
+  bswp::Deployment dep = make_deployment(c);
+  bswp::Session s = dep.compile();
+  Executor exec(s.network(), 8);
+  exec.run_batch_view(std::span<const Tensor>(c.images.data(), 8));
+  EXPECT_NO_THROW(exec.logits_view(7));
+  exec.run_batch_view(std::span<const Tensor>(c.images.data(), 3));
+  EXPECT_NO_THROW(exec.logits_view(2));
+  EXPECT_THROW(exec.logits_view(5), std::invalid_argument);
+  exec.run_view(c.images[0]);  // a run of one image
+  EXPECT_EQ(exec.logits_view(0).to_qtensor().data, Executor(s.network()).run(c.images[0]).data);
+  EXPECT_THROW(exec.logits_view(1), std::invalid_argument);
+  EXPECT_THROW(exec.logits_view(-1), std::invalid_argument);
+  EXPECT_THROW(Executor(s.network(), 8).logits_view(0), std::invalid_argument);  // no run yet
+}
+
 TEST(BatchedExecutor, RejectsOversizedBatch) {
   ZooCase c = make_case(models::paper_models()[0], 66, 3);
   bswp::Deployment dep = make_deployment(c);
@@ -232,38 +250,35 @@ TEST(BatchedExecutor, XnorBatchBitIdenticalAndCounterInvariant) {
   }
 }
 
-// --- ServingPool chunked batched steal loop ----------------------------------
+// --- Session::run_batch chunked parallel-for ----------------------------------
 
-TEST(BatchedServingPool, ChunkedBatchesBitIdenticalToPerImagePool) {
-  // exec_batch = 1 reproduces the per-image steal loop; larger widths route
-  // each stolen chunk through one run_batch_view. All settings must agree
-  // bit-for-bit, including a ragged tail (17 images, chunks of 4).
+TEST(BatchedRunBatch, RaggedChunksBitIdenticalToPerImageRuns) {
+  // run_batch runs 8-image chunks through one run_batch_view each; with 17
+  // images the last chunk is a ragged single image. Every thread count must
+  // agree bit-for-bit with per-image execution.
   ZooCase c = make_case(models::paper_models()[0], 33, 17);
   bswp::Deployment dep = make_deployment(c);
   bswp::Session s = dep.compile();
 
-  ServingPool per_image(s.network(), /*exec_batch=*/1);
-  std::vector<QTensor> ref = per_image.run(c.images, 2);
-  for (int exec_batch : {3, 4, 8}) {
-    ServingPool pool(s.network(), exec_batch);
-    for (int workers : {1, 3}) {
-      BatchStats st;
-      const std::vector<QTensor> got = pool.run(c.images, workers, &st);
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(got[i].data, ref[i].data)
-            << "exec_batch=" << exec_batch << " workers=" << workers << " image=" << i;
-      }
-      EXPECT_EQ(st.latency.count, c.images.size());
-      EXPECT_GT(st.latency.mean_us, 0.0);
+  Executor seq(s.network());
+  std::vector<QTensor> ref;
+  for (const Tensor& x : c.images) ref.push_back(seq.run(x));
+  for (int threads : {1, 2, 3, 4}) {
+    const bswp::BatchResult r = s.run_batch_stats(c.images, threads);
+    ASSERT_EQ(r.logits.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(r.logits[i].data, ref[i].data) << "threads=" << threads << " image=" << i;
     }
+    EXPECT_EQ(r.stats.images, c.images.size());
+    EXPECT_EQ(r.stats.workers, threads);
+    EXPECT_EQ(r.stats.latency.count, c.images.size());
+    EXPECT_GT(r.stats.latency.mean_us, 0.0);
   }
 }
 
-TEST(BatchedServingPool, FailedBatchLeavesStatsUntouchedUnderChunking) {
-  // PR-4 semantics must survive chunked execution: a failing image aborts
-  // the batch early, the first error is rethrown after quiescence, the
-  // caller's stats stay untouched, and the pool serves the next batch.
+TEST(BatchedRunBatch, FailedChunkStopsTheCallAndTheNextCallIsHealthy) {
+  // A failing image fails its whole chunk; the first error is rethrown once
+  // every thread has stopped, and the next call serves normally.
   ZooCase c = make_case(models::paper_models()[0], 44, 9);
   bswp::Deployment dep = make_deployment(c);
   bswp::Session s = dep.compile();
@@ -271,26 +286,14 @@ TEST(BatchedServingPool, FailedBatchLeavesStatsUntouchedUnderChunking) {
   std::vector<Tensor> images = c.images;
   const Tensor good = images[4];
   images[4] = Tensor({5, 16, 16}, 0.1f);  // wrong channel count
-
-  ServingPool pool(s.network(), /*exec_batch=*/4);
-  BatchStats st;
-  st.images = 777;
-  st.workers = -3;
-  st.latency.p99_us = 123.0;
-  EXPECT_THROW(pool.run(images, 3, &st), std::invalid_argument);
-  EXPECT_EQ(st.images, 777u);
-  EXPECT_EQ(st.workers, -3);
-  EXPECT_EQ(st.latency.p99_us, 123.0);
-  // Single-worker inline path takes the same chunked route.
-  EXPECT_THROW(pool.run(images, 1, &st), std::invalid_argument);
-  EXPECT_EQ(st.images, 777u);
+  EXPECT_THROW(s.run_batch_stats(images, 3), std::invalid_argument);
+  EXPECT_THROW(s.run_batch_stats(images, 1), std::invalid_argument);
 
   images[4] = good;
-  const std::vector<QTensor> ok = pool.run(images, 3, &st);
-  ASSERT_EQ(ok.size(), images.size());
-  EXPECT_EQ(st.images, images.size());
-  Executor check_exec(s.network());
-  EXPECT_EQ(ok[4].data, check_exec.run(images[4]).data);
+  const bswp::BatchResult ok = s.run_batch_stats(images, 3);
+  ASSERT_EQ(ok.logits.size(), images.size());
+  EXPECT_EQ(ok.stats.images, images.size());
+  EXPECT_EQ(ok.logits[4].data, Executor(s.network()).run(images[4]).data);
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // Arena execution tests: MemoryPlanner placement safety, Executor reuse
-// bit-identity, the zero-heap-allocation steady-state guarantee, and the
-// persistent serving pool (stress vs sequential reference, early error
-// exit, latency stats).
+// bit-identity, the zero-heap-allocation steady-state guarantee, and
+// Session::run_batch's parallel-for (stress vs sequential reference,
+// concurrent callers, early error exit, latency stats).
 #include "runtime/executor.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 #include <vector>
 
 #include "api/bswp.h"
@@ -16,7 +17,6 @@
 #include "core/counting_allocator.h"
 #include "core/rng.h"
 #include "models/zoo.h"
-#include "runtime/serving_pool.h"
 
 namespace bswp::runtime {
 namespace {
@@ -292,9 +292,9 @@ TEST(Executor, AbandonedRunLeavesNoPartialStateAndRerunsBitIdentical) {
   EXPECT_EQ(exec.run(a).data, ref_a.data);
 }
 
-// --- serving pool ------------------------------------------------------------
+// --- Session::run_batch -------------------------------------------------------
 
-TEST(ServingPool, StressBitIdenticalToSequentialAcrossWorkerCounts) {
+TEST(RunBatch, BitIdenticalToSequentialAcrossThreadCounts) {
   bswp::Session s = pooled_session();
   std::vector<Tensor> images;
   for (int i = 0; i < 40; ++i) images.push_back(image_at(i));
@@ -302,29 +302,48 @@ TEST(ServingPool, StressBitIdenticalToSequentialAcrossWorkerCounts) {
   std::vector<QTensor> ref;
   for (const Tensor& x : images) ref.push_back(s.run(x));
 
-  for (int workers : {1, 2, 4, 8}) {
-    // Two batches per worker count: the second reuses the warm pool.
-    for (int batch = 0; batch < 2; ++batch) {
-      const std::vector<QTensor> got = s.run_batch(images, workers);
+  for (int threads : {1, 2, 4, 8}) {
+    for (int call = 0; call < 2; ++call) {
+      const std::vector<QTensor> got = s.run_batch(images, threads);
       ASSERT_EQ(got.size(), ref.size());
       for (std::size_t i = 0; i < ref.size(); ++i) {
         EXPECT_EQ(got[i].data, ref[i].data)
-            << "workers=" << workers << " batch=" << batch << " image=" << i;
+            << "threads=" << threads << " call=" << call << " image=" << i;
         EXPECT_EQ(got[i].scale, ref[i].scale);
       }
     }
   }
 }
 
-TEST(ServingPool, BatchStatsReportLatencyPercentiles) {
+TEST(RunBatch, ConcurrentCallsOnOneSessionAreBitIdentical) {
+  // run_batch keeps no state in the Session, so two callers sharing one
+  // Session neither serialize nor see each other's arenas.
+  bswp::Session s = pooled_session();
+  std::vector<Tensor> images;
+  for (int i = 0; i < 24; ++i) images.push_back(image_at(i));
+  std::vector<QTensor> ref;
+  for (const Tensor& x : images) ref.push_back(s.run(x));
+
+  std::vector<QTensor> a, b;
+  std::thread other([&] { a = s.run_batch(images, 2); });
+  b = s.run_batch(images, 3);
+  other.join();
+  ASSERT_EQ(a.size(), ref.size());
+  ASSERT_EQ(b.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(a[i].data, ref[i].data) << "caller A image " << i;
+    EXPECT_EQ(b[i].data, ref[i].data) << "caller B image " << i;
+  }
+}
+
+TEST(RunBatch, StatsReportLatencyPercentiles) {
   bswp::Session s = pooled_session();
   std::vector<Tensor> images;
   for (int i = 0; i < 16; ++i) images.push_back(image_at(i));
   const bswp::BatchResult r = s.run_batch_stats(images, 4);
   ASSERT_EQ(r.logits.size(), images.size());
   EXPECT_EQ(r.stats.images, images.size());
-  EXPECT_GE(r.stats.workers, 1);
-  EXPECT_LE(r.stats.workers, 4);
+  EXPECT_EQ(r.stats.workers, 4);
   EXPECT_EQ(r.stats.latency.count, images.size());
   EXPECT_GT(r.stats.latency.p50_us, 0.0);
   EXPECT_LE(r.stats.latency.p50_us, r.stats.latency.p95_us);
@@ -332,43 +351,19 @@ TEST(ServingPool, BatchStatsReportLatencyPercentiles) {
   EXPECT_GT(r.stats.latency.mean_us, 0.0);
   EXPECT_GT(r.stats.throughput_ips, 0.0);
   EXPECT_GT(r.stats.wall_seconds, 0.0);
+  // Never more threads than images.
+  EXPECT_EQ(s.run_batch_stats(std::span<const Tensor>(images.data(), 2), 4).stats.workers, 2);
+  EXPECT_EQ(s.run_batch_stats(std::span<const Tensor>(), 4).stats.images, 0u);
 }
 
-TEST(ServingPool, FailedBatchLeavesStatsUntouched) {
-  // Regression: run() used to zero the caller's stats up front, so a failed
-  // batch reported a partially filled struct. Failure must leave it alone.
-  bswp::Session s = pooled_session();
-  std::vector<Tensor> images;
-  for (int i = 0; i < 8; ++i) images.push_back(image_at(i));
-  images[3] = Tensor({5, 12, 12}, 0.1f);  // wrong channel count
-
-  bswp::BatchResult r;
-  r.stats.images = 777;
-  r.stats.workers = -3;
-  r.stats.latency.p99_us = 123.0;
-  EXPECT_THROW(r.logits = s.run_batch_stats(images, 4).logits, std::invalid_argument);
-  // run_batch_stats returns by value, so exercise the pool API directly too.
-  ServingPool pool(s.network());
-  BatchStats st;
-  st.images = 777;
-  st.workers = -3;
-  st.latency.p99_us = 123.0;
-  EXPECT_THROW(pool.run(images, 4, &st), std::invalid_argument);
-  EXPECT_EQ(st.images, 777u);
-  EXPECT_EQ(st.workers, -3);
-  EXPECT_EQ(st.latency.p99_us, 123.0);
-  // And the single-worker inline path:
-  EXPECT_THROW(pool.run(images, 1, &st), std::invalid_argument);
-  EXPECT_EQ(st.images, 777u);
-}
-
-TEST(ServingPool, ErrorStopsBatchEarlyAndPoolSurvives) {
+TEST(RunBatch, ErrorStopsBatchEarlyAndNextCallIsHealthy) {
   bswp::Session s = pooled_session();
   std::vector<Tensor> images;
   for (int i = 0; i < 12; ++i) images.push_back(image_at(i));
   images[5] = Tensor({5, 12, 12}, 0.1f);  // wrong channel count
   EXPECT_THROW(s.run_batch(images, 4), std::invalid_argument);
-  // The pool must stay healthy after a failed batch.
+  EXPECT_THROW(s.run_batch_stats(images, 1), std::invalid_argument);
+  // Nothing survives a failed call: the next one is healthy.
   images[5] = image_at(5);
   const std::vector<QTensor> ok = s.run_batch(images, 4);
   ASSERT_EQ(ok.size(), images.size());

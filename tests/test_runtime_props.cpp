@@ -157,17 +157,28 @@ TEST(RuntimePolicy, NarrowLayersSkipLutCaching) {
   co.pool_size = 64;
   co.kmeans_iters = 4;
   pool::PooledNetwork pooled = pool::build_weight_pool(g, co);
-  CompileOptions opt;
-  opt.backend_select = BackendSelect::kHeuristic;  // this tests the §4.3 policy
-  CompiledNetwork net = compile(g, &pooled, cal, opt);
-  std::vector<kernels::BitSerialVariant> variants;
-  for (const LayerPlan& p : net.plans) {
-    if (p.kind == PlanKind::kConvBitSerial) variants.push_back(p.variant);
+  // The §4.3 policy survives as the report's heuristic_cycles reference:
+  // each layer's reference must price exactly the variant the rule names.
+  CompileReport report;
+  compile(g, &pooled, cal, CompileOptions{}, &report);
+  const kernels::BitSerialVariant rule[] = {
+      kernels::BitSerialVariant::kInputReuse,        // 8 filters
+      kernels::BitSerialVariant::kCached,            // 16 filters
+      kernels::BitSerialVariant::kCachedPrecompute,  // 96 filters
+  };
+  std::vector<const BackendChoice*> convs;
+  for (const BackendChoice& c : report.backend_choices) {
+    if (c.kind == PlanKind::kConvBitSerial) convs.push_back(&c);
   }
-  ASSERT_EQ(variants.size(), 3u);
-  EXPECT_EQ(variants[0], kernels::BitSerialVariant::kInputReuse);        // 8 filters
-  EXPECT_EQ(variants[1], kernels::BitSerialVariant::kCached);            // 16 filters
-  EXPECT_EQ(variants[2], kernels::BitSerialVariant::kCachedPrecompute);  // 96 filters
+  ASSERT_EQ(convs.size(), 3u);
+  for (std::size_t i = 0; i < convs.size(); ++i) {
+    const std::string want = std::string("bitserial/") + kernels::variant_name(rule[i]);
+    double want_cycles = -1.0;
+    for (const BackendCandidate& cand : convs[i]->candidates) {
+      if (cand.backend == want) want_cycles = cand.cycles;
+    }
+    EXPECT_EQ(convs[i]->heuristic_cycles, want_cycles) << convs[i]->layer << " expected " << want;
+  }
 }
 
 class GroupSizeGrid : public ::testing::TestWithParam<int> {};

@@ -1035,22 +1035,20 @@ TEST(InferenceServer, UnknownModelAndDuplicateRegistrationThrow) {
 
 // --- batched dispatch --------------------------------------------------------
 
-TEST(InferenceServer, BatchedAndPerImageDispatchBitIdentical) {
-  // The one-call batched dispatch (default) must produce byte-identical
-  // logits to the per-request dispatch loop it replaced; batched_execution
-  // is the ablation toggle between them.
+TEST(InferenceServer, BatchOfOneAndBatchOfFourDispatchBitIdentical) {
+  // Every task takes the one staged run_batch_view path, whether the
+  // scheduler closes batches of one or of four; logits must match the
+  // sequential reference byte for byte either way.
   SmallModel& m = small_model();
-  for (bool batched : {true, false}) {
-    ServerOptions so = quick_options(/*workers=*/1, /*max_batch=*/4, 50ms);
-    so.batched_execution = batched;
-    InferenceServer server(so);
+  for (int max_batch : {1, 4}) {
+    InferenceServer server(quick_options(/*workers=*/1, max_batch, 50ms));
     server.register_model("m", m.session.network());
     std::vector<std::future<QTensor>> futs;
     for (int i = 0; i < 8; ++i) futs.push_back(server.submit("m", m.images[i]));
     server.drain();
     for (int i = 0; i < 8; ++i) {
       EXPECT_EQ(futs[static_cast<std::size_t>(i)].get().data, m.refs[static_cast<std::size_t>(i)].data)
-          << "batched=" << batched << " image " << i;
+          << "max_batch=" << max_batch << " image " << i;
     }
     const ServerStats s = server.stats();
     EXPECT_EQ(s.admission.completed, 8u);
@@ -1058,14 +1056,12 @@ TEST(InferenceServer, BatchedAndPerImageDispatchBitIdentical) {
   }
 }
 
-TEST(InferenceServer, BadShapeRejectedBeforeBatchingUnderBatchedDispatch) {
-  // Pre-dispatch validation: with batched execution on, a wrong-shape
-  // request must fail its own future (same error as the engine's) while its
-  // batch neighbours ride the single batched executor call.
+TEST(InferenceServer, BadShapeRejectedBeforeBatching) {
+  // Pre-dispatch validation: a wrong-shape request must fail its own future
+  // (same error as the engine's) while its batch neighbours ride the single
+  // batched executor call.
   SmallModel& m = small_model();
-  ServerOptions so = quick_options(/*workers=*/1, /*max_batch=*/8, 50ms);
-  so.batched_execution = true;
-  InferenceServer server(so);
+  InferenceServer server(quick_options(/*workers=*/1, /*max_batch=*/8, 50ms));
   server.register_model("m", m.session.network());
 
   std::future<QTensor> good0 = server.submit("m", m.images[0]);
@@ -1083,6 +1079,18 @@ TEST(InferenceServer, BadShapeRejectedBeforeBatchingUnderBatchedDispatch) {
   EXPECT_EQ(s.admission.failed, 2u);
   // Only the two valid requests executed, so only they record exec samples.
   EXPECT_EQ(s.exec_latency.count, 2u);
+
+  // A lone bad request is a batch of one: it fails on its own, and the
+  // next request is served normally.
+  std::future<QTensor> lone_bad = server.submit("m", Tensor({5, 16, 16}, 0.1f));
+  server.drain();
+  EXPECT_THROW(lone_bad.get(), std::invalid_argument);
+  std::future<QTensor> after = server.submit("m", m.images[2]);
+  server.drain();  // counters settle after the futures resolve
+  EXPECT_EQ(after.get().data, m.refs[2].data);
+  const ModelStats t = server.model_stats("m");
+  EXPECT_EQ(t.admission.failed, 3u);
+  EXPECT_EQ(t.admission.completed, 3u);
 }
 
 TEST(InferenceServer, ExecLatencySeparatesExecutorTimeFromQueueing) {

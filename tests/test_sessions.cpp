@@ -745,7 +745,9 @@ TEST(Sessions, PerTokenDeadlineExpiresUnderSaturationWithoutDroppingTokens) {
   ServerOptions so;
   so.workers = 1;
   InferenceServer server(so);
-  constexpr std::size_t kBulk = 4096;
+  // Large enough that the batch outlasts the step deadline's purge even on
+  // a loaded host (the Server-level mirror uses the same size).
+  constexpr std::size_t kBulk = 8192;
   ModelConfig bulk;
   bulk.batching.max_batch = static_cast<int>(kBulk);
   bulk.batching.max_delay = 10s;
@@ -812,6 +814,9 @@ TEST(Sessions, ShedMidGenerationNeverLosesOrDuplicatesTokens) {
   EXPECT_EQ(r.tokens, ref);
   EXPECT_GE(r.deadline_misses, 1u);
 
+  // A future resolves before its worker books the completion; drain() waits
+  // for the books to close.
+  server.drain();
   const ModelStats ms = server.model_stats("lm");
   EXPECT_EQ(ms.deadline_expired, r.deadline_misses);
   EXPECT_EQ(ms.admission.shed, r.deadline_misses);

@@ -145,13 +145,15 @@ void micro_benchmarks(JsonWriter& jw) {
     const int oh = f.spec.out_h(16), ow = f.spec.out_w(16);
     QTensor out_s({1, 64, oh, ow}, 8, false), out_v = out_s;
     QView in = QView::of(f.input), vs = QView::of(out_s), vv = QView::of(out_v);
-    ScratchArena ss(kernels::bitserial_host_scratch_bytes(64, f.lut.pool_size, f.lut.group_size));
+    ScratchArena ss(
+        kernels::bitserial_host_batch_scratch_bytes(64, f.lut.pool_size, f.lut.group_size, 1));
     ScratchArena sv(
         kernels::simd::simd_bitserial_scratch_bytes(64, f.lut.pool_size, f.lut.group_size));
     const auto variant = kernels::BitSerialVariant::kCached;
     const double scalar_us = time_us(iters, [&] {
       ss.reset();
-      kernels::bitserial_conv2d(in, f.indices, f.lut, f.spec, f.rq, variant, vs, ss, nullptr);
+      kernels::bitserial_conv2d_batch(in, in.size(), 1, f.indices, f.lut, f.spec, f.rq, variant,
+                                      vs, vs.size(), ss, nullptr);
     });
     const double simd_us = time_us(iters, [&] {
       sv.reset();

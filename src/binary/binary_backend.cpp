@@ -6,6 +6,9 @@
 // the incoming quantized activation by sign, packs both operands and runs
 // the word-parallel XNOR kernel, then requantizes the +-count accumulators.
 // `binary::make_binary_conv_plan` builds such a plan from float weights.
+// One backend class serves both host lanes: each lane registers it with its
+// own counts core (binary::xnor_conv2d_counts here, the 64-bit-word SIMD
+// core in src/kernels/simd/simd_backends.cpp).
 #include "binary/binary_backend.h"
 
 #include <cmath>
@@ -55,7 +58,9 @@ namespace {
 
 class XnorConvBackend : public runtime::KernelBackend {
  public:
-  const char* name() const override { return "binary/xnor-conv"; }
+  XnorConvBackend(const char* name, XnorCountsFn counts) : name_(name), counts_(counts) {}
+  const char* name() const override { return name_; }
+
   void execute(const runtime::ExecContext& ctx) const override {
     const runtime::LayerPlan& plan = ctx.plan;
     const kernels::QView& in = ctx.input(0);
@@ -66,53 +71,16 @@ class XnorConvBackend : public runtime::KernelBackend {
     const int h = in.dim(2), w = in.dim(3);
     const int oh = spec.out_h(h), ow = spec.out_w(w);
     const int words = binary_pack_words(spec.in_ch);
-
-    // Stage packed operands in scratch: the activation binarized by sign
-    // (q >= zero_point maps to +1) and the stored sign weights (alpha is
-    // already folded into rq, so the packed weights carry no scale).
-    // Re-packing weights per call keeps the backend a stateless singleton
-    // shared across networks and threads; this path is a comparison
-    // baseline, not a hot path.
-    uint32_t* in_bits = ctx.scratch->alloc<uint32_t>(static_cast<std::size_t>(h) * w * words);
-    uint32_t* w_bits = ctx.scratch->alloc<uint32_t>(static_cast<std::size_t>(spec.out_ch) *
-                                                    spec.kh * spec.kw * words);
-    int32_t* counts = ctx.scratch->alloc<int32_t>(static_cast<std::size_t>(spec.out_ch) * oh * ow);
-    pack_binary_input_q(in.data, spec.in_ch, h, w, in.zero_point, in_bits);
-    pack_binary_weights_q(plan.qweights.data.data(), spec, w_bits);
-    xnor_conv2d_counts(in_bits, spec.in_ch, h, w, w_bits, spec, counts, ctx.counter);
-
-    kernels::QView& out = *ctx.out;
-    out.set_shape({1, spec.out_ch, oh, ow});
-    out.bits = plan.rq.out.bits;
-    out.is_signed = plan.rq.out.is_signed;
-    out.scale = plan.rq.out.scale;
-    out.zero_point = plan.rq.out.zero_point;
-    const int hw = oh * ow;
-    for (int o = 0; o < spec.out_ch; ++o) {
-      for (int i = 0; i < hw; ++i) {
-        const std::size_t idx = static_cast<std::size_t>(o) * hw + static_cast<std::size_t>(i);
-        out.data[idx] = plan.rq.apply(counts[idx], o);
-      }
-    }
-  }
-
-  void execute_batch(const runtime::ExecContext& ctx) const override {
-    const runtime::LayerPlan& plan = ctx.plan;
-    const kernels::QView& in = ctx.input(0);
-    check(in.rank == 4 && in.shape[0] == 1,
-          "xnor backend: input must be a single CHW activation");
-    const nn::ConvSpec& spec = plan.spec;
-    check(in.dim(1) == spec.in_ch, "xnor backend: channel mismatch");
-    const int h = in.dim(2), w = in.dim(3);
-    const int oh = spec.out_h(h), ow = spec.out_w(w);
-    const int words = binary_pack_words(spec.in_ch);
-    const std::size_t in_stride =
-        ctx.net.plans[static_cast<std::size_t>(plan.inputs[0])].out_elems();
+    const std::size_t in_stride = ctx.input_stride(0);
     const std::size_t out_stride = plan.out_elems();
 
-    // Weights are packed ONCE for the whole batch (the packers are
-    // counter-free, so tallies stay exactly batch x the per-image counts);
-    // the input/count staging buffers are reused image to image.
+    // Stage packed operands in scratch: the stored sign weights (alpha is
+    // already folded into rq, so the packed weights carry no scale) once per
+    // call, and per image the activation binarized by sign (q >= zero_point
+    // maps to +1) plus its counts. Re-packing weights per call keeps the
+    // backend a stateless singleton shared across networks and threads; this
+    // path is a comparison baseline, not a hot path. The packers tally
+    // nothing, so counters stay exactly batch x the per-image counts.
     uint32_t* in_bits = ctx.scratch->alloc<uint32_t>(static_cast<std::size_t>(h) * w * words);
     uint32_t* w_bits = ctx.scratch->alloc<uint32_t>(static_cast<std::size_t>(spec.out_ch) *
                                                     spec.kh * spec.kw * words);
@@ -129,7 +97,7 @@ class XnorConvBackend : public runtime::KernelBackend {
     for (int b = 0; b < ctx.batch; ++b) {
       const int16_t* src = in.data + static_cast<std::size_t>(b) * in_stride;
       pack_binary_input_q(src, spec.in_ch, h, w, in.zero_point, in_bits);
-      xnor_conv2d_counts(in_bits, spec.in_ch, h, w, w_bits, spec, counts, ctx.counter);
+      counts_(in_bits, spec.in_ch, h, w, w_bits, spec, counts, ctx.counter);
       int16_t* dst = out.data + static_cast<std::size_t>(b) * out_stride;
       for (int o = 0; o < spec.out_ch; ++o) {
         for (int i = 0; i < hw; ++i) {
@@ -140,8 +108,9 @@ class XnorConvBackend : public runtime::KernelBackend {
     }
   }
 
-  std::size_t scratch_bytes(const runtime::CompiledNetwork& net,
-                            const runtime::LayerPlan& plan) const override {
+  std::size_t scratch_bytes(const runtime::CompiledNetwork& net, const runtime::LayerPlan& plan,
+                            int batch) const override {
+    (void)batch;  // the staging buffers are reused image to image
     const nn::ConvSpec& spec = plan.spec;
     const runtime::LayerPlan& src = net.plans[static_cast<std::size_t>(plan.inputs[0])];
     const std::size_t words = static_cast<std::size_t>(binary_pack_words(spec.in_ch));
@@ -152,15 +121,26 @@ class XnorConvBackend : public runtime::KernelBackend {
            ScratchArena::bytes_for<uint32_t>(taps * words) +
            ScratchArena::bytes_for<int32_t>(plan.out_elems());
   }
+
+ private:
+  const char* name_;
+  XnorCountsFn counts_;
 };
 
 }  // namespace
+
+std::unique_ptr<runtime::KernelBackend> make_xnor_conv_backend(const char* name,
+                                                               XnorCountsFn counts) {
+  return std::make_unique<XnorConvBackend>(name, counts);
+}
+
 }  // namespace bswp::binary
 
 namespace bswp::runtime::detail {
 
 void register_binary_backends(KernelRegistry& r) {
-  r.add(PlanKind::kConvBinary, kAnyVariant, std::make_unique<binary::XnorConvBackend>());
+  r.add(PlanKind::kConvBinary, kAnyVariant,
+        binary::make_xnor_conv_backend("binary/xnor-conv", binary::xnor_conv2d_counts));
 }
 
 }  // namespace bswp::runtime::detail

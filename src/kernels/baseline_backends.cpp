@@ -1,64 +1,61 @@
 // Registry adapters for the CMSIS-like int8 kernels (conv / linear / pooling
-// / residual add). All execute straight into the arena output view; none of
-// the host kernels needs scratch.
+// / residual add). Every kernel here handles one image, so every backend is
+// a PerImageBackend; all execute straight into the arena output view and
+// none of the host kernels needs scratch.
 #include "kernels/baseline_conv.h"
 #include "runtime/kernel_backend.h"
 
 namespace bswp::runtime {
 namespace {
 
-/// Per-image element stride of the plan's first input inside a batched arena.
-std::size_t input_stride(const ExecContext& ctx) {
-  return ctx.net.plans[static_cast<std::size_t>(ctx.plan.inputs[0])].out_elems();
-}
-
-class BaselineConvBackend : public KernelBackend {
+class BaselineConvBackend : public PerImageBackend {
  public:
   const char* name() const override { return "baseline/conv"; }
-  void execute(const ExecContext& ctx) const override {
+
+ protected:
+  void execute_image(const ExecContext& ctx) const override {
     kernels::baseline_conv2d(ctx.input(0), ctx.plan.qweights, ctx.plan.spec, ctx.plan.rq,
                              *ctx.out, ctx.counter);
   }
-  void execute_batch(const ExecContext& ctx) const override {
-    kernels::baseline_conv2d_batch(ctx.input(0), input_stride(ctx), ctx.batch, ctx.plan.qweights,
-                                   ctx.plan.spec, ctx.plan.rq, *ctx.out, ctx.plan.out_elems(),
-                                   ctx.counter);
-  }
 };
 
-class BaselineLinearBackend : public KernelBackend {
+class BaselineLinearBackend : public PerImageBackend {
  public:
   const char* name() const override { return "baseline/linear"; }
-  void execute(const ExecContext& ctx) const override {
+
+ protected:
+  void execute_image(const ExecContext& ctx) const override {
     kernels::baseline_linear(ctx.input(0), ctx.plan.qweights, ctx.plan.rq, *ctx.out, ctx.counter);
-  }
-  void execute_batch(const ExecContext& ctx) const override {
-    kernels::baseline_linear_batch(ctx.input(0), input_stride(ctx), ctx.batch, ctx.plan.qweights,
-                                   ctx.plan.rq, *ctx.out, ctx.plan.out_elems(), ctx.counter);
   }
 };
 
-class MaxPoolBackend : public KernelBackend {
+class MaxPoolBackend : public PerImageBackend {
  public:
   const char* name() const override { return "baseline/maxpool"; }
-  void execute(const ExecContext& ctx) const override {
+
+ protected:
+  void execute_image(const ExecContext& ctx) const override {
     kernels::maxpool_q(ctx.input(0), ctx.plan.pool_k, ctx.plan.pool_stride, *ctx.out,
                        ctx.counter);
   }
 };
 
-class GlobalAvgPoolBackend : public KernelBackend {
+class GlobalAvgPoolBackend : public PerImageBackend {
  public:
   const char* name() const override { return "baseline/gap"; }
-  void execute(const ExecContext& ctx) const override {
+
+ protected:
+  void execute_image(const ExecContext& ctx) const override {
     kernels::global_avgpool_q(ctx.input(0), ctx.plan.rq, *ctx.out, ctx.counter);
   }
 };
 
-class AddBackend : public KernelBackend {
+class AddBackend : public PerImageBackend {
  public:
   const char* name() const override { return "baseline/add"; }
-  void execute(const ExecContext& ctx) const override {
+
+ protected:
+  void execute_image(const ExecContext& ctx) const override {
     kernels::add_q(ctx.input(0), ctx.input(1), ctx.plan.rq, *ctx.out, ctx.counter);
   }
 };

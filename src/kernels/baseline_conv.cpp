@@ -113,121 +113,6 @@ void baseline_linear(const QView& in, const QTensor& weights, const Requant& rq,
   }
 }
 
-void baseline_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
-                           const QTensor& weights, const nn::ConvSpec& spec, const Requant& rq,
-                           QView& out, std::size_t out_stride, sim::CostCounter* counter) {
-  check(in.rank == 4 && in.shape[0] == 1, "baseline_conv2d_batch: input must be 1xCxHxW");
-  check(in.dim(1) == spec.in_ch, "baseline_conv2d_batch: channel mismatch");
-  check(batch >= 1, "baseline_conv2d_batch: batch must be >= 1");
-  const int h = in.dim(2), w = in.dim(3);
-  const int oh = spec.out_h(h), ow = spec.out_w(w);
-  const int cg = spec.in_ch / spec.groups;
-  const int og = spec.out_ch / spec.groups;
-  const std::size_t wstride = static_cast<std::size_t>(cg) * spec.kh * spec.kw;
-
-  out.set_shape({1, spec.out_ch, oh, ow});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-  const int32_t in_zp = in.zero_point;
-
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      uint64_t spatial_valid = 0;
-      for (int ky = 0; ky < spec.kh; ++ky) {
-        const int iy = oy * spec.stride + ky - spec.pad;
-        if (iy < 0 || iy >= h) continue;
-        for (int kx = 0; kx < spec.kw; ++kx) {
-          const int ix = ox * spec.stride + kx - spec.pad;
-          if (ix >= 0 && ix < w) ++spatial_valid;
-        }
-      }
-      for (int g = 0; g < spec.groups; ++g) {
-        for (int oc = 0; oc < og; ++oc) {
-          const int o = g * og + oc;
-          const int16_t* wrow = weights.data.data() + static_cast<std::size_t>(o) * wstride;
-          // Image loop inside the filter loop: wrow stays hot across the
-          // batch. Each image's tap order (c, ky, kx) matches the per-image
-          // core exactly, so the int32 accumulation is bit-identical.
-          for (int b = 0; b < batch; ++b) {
-            const int16_t* src = in.data + static_cast<std::size_t>(b) * in_stride;
-            int32_t acc = 0;
-            std::size_t widx = 0;
-            for (int c = 0; c < cg; ++c) {
-              const int in_c = g * cg + c;
-              for (int ky = 0; ky < spec.kh; ++ky) {
-                const int iy = oy * spec.stride + ky - spec.pad;
-                for (int kx = 0; kx < spec.kw; ++kx, ++widx) {
-                  const int ix = ox * spec.stride + kx - spec.pad;
-                  if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
-                  const int16_t a = src[(static_cast<std::size_t>(in_c) * h + iy) * w + ix];
-                  acc += (static_cast<int32_t>(a) - in_zp) * wrow[widx];
-                }
-              }
-            }
-            out.data[static_cast<std::size_t>(b) * out_stride +
-                     (static_cast<std::size_t>(o) * oh + oy) * ow + ox] = rq.apply(acc, o);
-          }
-        }
-      }
-      if (counter != nullptr) {
-        // Exactly batch x the per-image tallies (the modeled MCU does not
-        // batch; the closed forms in sim/layer_cost.h price amortization).
-        const uint64_t nb = static_cast<uint64_t>(batch);
-        const uint64_t taps_per_filter = spatial_valid * static_cast<uint64_t>(cg);
-        const uint64_t patch = spatial_valid * static_cast<uint64_t>(spec.in_ch);
-        counter->add(Event::kSramRead, patch * nb);
-        counter->add(Event::kSramWrite, patch * nb);
-        const uint64_t work = taps_per_filter * static_cast<uint64_t>(spec.out_ch);
-        counter->add(Event::kFlashSeqByte, work * nb);
-        counter->add(Event::kSramRead, work * nb);
-        counter->add(Event::kMac, work * nb);
-        counter->add(Event::kAlu, 3 * work * nb);
-        counter->add(Event::kBranch, static_cast<uint64_t>(spec.out_ch) * nb);
-        counter->add(Event::kRequant, static_cast<uint64_t>(spec.out_ch) * nb);
-        counter->add(Event::kSramWrite, static_cast<uint64_t>(spec.out_ch) * nb);
-      }
-    }
-  }
-}
-
-void baseline_linear_batch(const QView& in, std::size_t in_stride, int batch,
-                           const QTensor& weights, const Requant& rq, QView& out,
-                           std::size_t out_stride, sim::CostCounter* counter) {
-  check(in.rank == 2 && in.shape[0] == 1, "baseline_linear_batch: input must be 1xF");
-  check(batch >= 1, "baseline_linear_batch: batch must be >= 1");
-  const int fin = in.dim(1), fout = weights.dim(0);
-  check(weights.dim(1) == fin, "baseline_linear_batch: shape mismatch");
-  out.set_shape({1, fout});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-  const int32_t in_zp = in.zero_point;
-  for (int o = 0; o < fout; ++o) {
-    const int16_t* wrow = weights.data.data() + static_cast<std::size_t>(o) * fin;
-    for (int b = 0; b < batch; ++b) {
-      const int16_t* src = in.data + static_cast<std::size_t>(b) * in_stride;
-      int32_t acc = 0;
-      for (int i = 0; i < fin; ++i)
-        acc += (static_cast<int32_t>(src[i]) - in_zp) * wrow[i];
-      out.data[static_cast<std::size_t>(b) * out_stride + static_cast<std::size_t>(o)] =
-          rq.apply(acc, o);
-    }
-  }
-  if (counter != nullptr) {
-    const uint64_t nb = static_cast<uint64_t>(batch);
-    const uint64_t taps = static_cast<uint64_t>(fin) * fout;
-    counter->add(Event::kFlashSeqByte, taps * nb);
-    counter->add(Event::kSramRead, taps * nb);
-    counter->add(Event::kMac, taps * nb);
-    counter->add(Event::kAlu, 3 * taps * nb);
-    counter->add(Event::kRequant, static_cast<uint64_t>(fout) * nb);
-    counter->add(Event::kSramWrite, static_cast<uint64_t>(fout) * nb);
-  }
-}
-
 void maxpool_q(const QView& in, int k, int stride, QView& out, sim::CostCounter* counter) {
   const int c = in.dim(1), h = in.dim(2), w = in.dim(3);
   const int oh = (h - k) / stride + 1, ow = (w - k) / stride + 1;

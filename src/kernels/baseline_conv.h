@@ -5,10 +5,13 @@
 // Cortex-M3: an im2col copy of each input patch into an SRAM column buffer,
 // then a MAC loop streaming weights sequentially from flash.
 //
-// Each kernel has two entry points: a view core that writes into a
+// Each kernel has one core, for one image: a view core that writes into a
 // caller-provided (arena) output view — the form the Executor's backends
-// call, zero-allocation — and an owning-QTensor wrapper kept for tests,
-// benches and one-off callers.
+// call, zero-allocation; they loop a batch through runtime::PerImageBackend —
+// and an owning-QTensor wrapper over that core kept for tests, benches and
+// one-off callers. The conv/linear cores are the only int8 path of a
+// BSWP_SIMD=OFF build, and the conv core is the one checked against a float
+// reference (tests/test_baseline_kernels.cpp).
 #pragma once
 
 #include "kernels/common.h"
@@ -26,26 +29,6 @@ void baseline_conv2d(const QView& in, const QTensor& weights, const nn::ConvSpec
 /// int8 fully-connected layer into `out`; `in` is flat (1xF).
 void baseline_linear(const QView& in, const QTensor& weights, const Requant& rq, QView& out,
                      sim::CostCounter* counter);
-
-// --- batched cores -----------------------------------------------------------
-//
-// Batch-N forms over arena slots laid out at a fixed per-image element
-// stride: image b reads `in.data + b * in_stride` and writes
-// `out.data + b * out_stride` (`in`/`out` describe image 0). The image loop
-// sits INSIDE the filter loop so each weight row is loaded once per batch
-// instead of once per image; per-image accumulation order is unchanged, so
-// results and CostCounter tallies are byte-identical to running the
-// per-image core `batch` times (tallies are exactly batch x per-image).
-
-/// Batched int8 convolution (see block comment above).
-void baseline_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
-                           const QTensor& weights, const nn::ConvSpec& spec, const Requant& rq,
-                           QView& out, std::size_t out_stride, sim::CostCounter* counter);
-
-/// Batched int8 fully-connected layer (see block comment above).
-void baseline_linear_batch(const QView& in, std::size_t in_stride, int batch,
-                           const QTensor& weights, const Requant& rq, QView& out,
-                           std::size_t out_stride, sim::CostCounter* counter);
 
 /// Max pooling in the quantized domain (scale-preserving) into `out`.
 void maxpool_q(const QView& in, int k, int stride, QView& out, sim::CostCounter* counter);

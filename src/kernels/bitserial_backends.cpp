@@ -1,18 +1,15 @@
 // Registry adapters for the bit-serial LUT kernels. Each BitSerialVariant is
 // registered as its own backend so ablations and future per-variant
 // replacements (e.g. a SIMD host build of kCachedPrecompute) can swap one
-// variant without touching the others. Accumulators, precompute/memo buffers
-// and channel-group staging come from the executor's scratch arena.
+// variant without touching the others. Each backend runs the family's one
+// (batched) core at every batch size, batch 1 included. Accumulators,
+// precompute/memo buffers and channel-group staging come from the executor's
+// scratch arena.
 #include "kernels/bitserial_conv.h"
 #include "runtime/kernel_backend.h"
 
 namespace bswp::runtime {
 namespace {
-
-/// Per-image element stride of the plan's first input inside a batched arena.
-std::size_t input_stride(const ExecContext& ctx) {
-  return ctx.net.plans[static_cast<std::size_t>(ctx.plan.inputs[0])].out_elems();
-}
 
 class BitSerialConvBackend : public KernelBackend {
  public:
@@ -21,21 +18,13 @@ class BitSerialConvBackend : public KernelBackend {
   }
   const char* name() const override { return name_.c_str(); }
   void execute(const ExecContext& ctx) const override {
-    kernels::bitserial_conv2d(ctx.input(0), ctx.plan.indices, ctx.net.lut, ctx.plan.spec,
-                              ctx.plan.rq, variant_, *ctx.out, *ctx.scratch, ctx.counter);
-  }
-  void execute_batch(const ExecContext& ctx) const override {
-    kernels::bitserial_conv2d_batch(ctx.input(0), input_stride(ctx), ctx.batch, ctx.plan.indices,
+    kernels::bitserial_conv2d_batch(ctx.input(0), ctx.input_stride(0), ctx.batch, ctx.plan.indices,
                                     ctx.net.lut, ctx.plan.spec, ctx.plan.rq, variant_, *ctx.out,
                                     ctx.plan.out_elems(), *ctx.scratch, ctx.counter);
   }
-  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const override {
-    return kernels::bitserial_host_scratch_bytes(plan.spec.out_ch, net.lut.pool_size,
-                                                 net.lut.group_size);
-  }
-  std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
-                                  int batch) const override {
-    return kernels::bitserial_host_scratch_bytes_batch(plan.spec.out_ch, net.lut.pool_size,
+  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan,
+                            int batch) const override {
+    return kernels::bitserial_host_batch_scratch_bytes(plan.spec.out_ch, net.lut.pool_size,
                                                        net.lut.group_size, batch);
   }
 
@@ -51,21 +40,13 @@ class BitSerialLinearBackend : public KernelBackend {
   }
   const char* name() const override { return name_.c_str(); }
   void execute(const ExecContext& ctx) const override {
-    kernels::bitserial_linear(ctx.input(0), ctx.plan.indices, ctx.net.lut, ctx.plan.rq, variant_,
-                              *ctx.out, *ctx.scratch, ctx.counter);
-  }
-  void execute_batch(const ExecContext& ctx) const override {
-    kernels::bitserial_linear_batch(ctx.input(0), input_stride(ctx), ctx.batch, ctx.plan.indices,
+    kernels::bitserial_linear_batch(ctx.input(0), ctx.input_stride(0), ctx.batch, ctx.plan.indices,
                                     ctx.net.lut, ctx.plan.rq, variant_, *ctx.out,
                                     ctx.plan.out_elems(), *ctx.scratch, ctx.counter);
   }
-  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const override {
-    return kernels::bitserial_host_scratch_bytes(plan.indices.out_ch, net.lut.pool_size,
-                                                 net.lut.group_size);
-  }
-  std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
-                                  int batch) const override {
-    return kernels::bitserial_host_scratch_bytes_batch(plan.indices.out_ch, net.lut.pool_size,
+  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan,
+                            int batch) const override {
+    return kernels::bitserial_host_batch_scratch_bytes(plan.indices.out_ch, net.lut.pool_size,
                                                        net.lut.group_size, batch);
   }
 

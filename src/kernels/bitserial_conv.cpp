@@ -152,121 +152,6 @@ void accumulate_filters(const GroupContext& ctx, BitSerialVariant variant, int32
 
 }  // namespace
 
-void bitserial_conv2d(const QView& in, const PackedIndices& indices, const pool::DotLut& lut,
-                      const nn::ConvSpec& spec, const Requant& rq, BitSerialVariant variant,
-                      QView& out, ScratchArena& scratch, sim::CostCounter* counter) {
-  check(in.rank == 4 && in.shape[0] == 1, "bitserial_conv2d: input must be 1xCxHxW");
-  check(!in.is_signed, "bitserial_conv2d: activations must be unsigned-quantized");
-  check(spec.groups == 1, "bitserial_conv2d: grouped convs are not poolable");
-  check(spec.in_ch % lut.group_size == 0, "bitserial_conv2d: in_ch must divide by group size");
-  check(indices.out_ch == spec.out_ch && indices.kh == spec.kh && indices.kw == spec.kw &&
-            indices.groups == spec.in_ch / lut.group_size,
-        "bitserial_conv2d: index map does not match conv spec");
-  const int M = in.bits;
-  check(M >= 1 && M <= 16, "bitserial_conv2d: activation bits out of range");
-
-  const int G = lut.group_size;
-  const int gcnt = spec.in_ch / G;
-  const int h = in.dim(2), w = in.dim(3);
-  const int oh = spec.out_h(h), ow = spec.out_w(w);
-  const int F = spec.out_ch;
-  const int S = lut.pool_size;
-
-  out.set_shape({1, F, oh, ow});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-
-  int32_t* acc = scratch.alloc<int32_t>(static_cast<std::size_t>(F));
-  int32_t* precomp = scratch.alloc<int32_t>(static_cast<std::size_t>(S));
-  uint8_t* memo_valid = scratch.alloc<uint8_t>(static_cast<std::size_t>(S));
-  int16_t* group_vals = scratch.alloc<int16_t>(static_cast<std::size_t>(G));
-  uint32_t bitvec[16] = {};
-
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      std::fill(acc, acc + F, 0);
-      sim::tally(counter, Event::kSramWrite, static_cast<uint64_t>(F));  // accumulator init
-      for (int ky = 0; ky < spec.kh; ++ky) {
-        const int iy = oy * spec.stride + ky - spec.pad;
-        if (iy < 0 || iy >= h) continue;
-        for (int kx = 0; kx < spec.kw; ++kx) {
-          const int ix = ox * spec.stride + kx - spec.pad;
-          if (ix < 0 || ix >= w) continue;
-          for (int g = 0; g < gcnt; ++g) {
-            // Gather the channel-group activation vector (contiguous in the
-            // HWC layout a real deployment would use).
-            for (int j = 0; j < G; ++j) {
-              group_vals[static_cast<std::size_t>(j)] =
-                  in.data[(static_cast<std::size_t>(g * G + j) * h + iy) * w + ix];
-            }
-            if (variant != BitSerialVariant::kNaive) {
-              // Algorithm 1 line 7: decomposition shared across the filter loop.
-              unpack_bits(group_vals, G, M, bitvec, counter);
-            }
-            if (uses_cache(variant)) count_cache_fill(counter, M, lut);
-
-            GroupContext ctx{lut, indices.idx.data() + indices.flat(ky, kx, g, 0), F, M, bitvec};
-            accumulate_filters(ctx, variant, acc, group_vals, G, precomp, memo_valid, counter);
-            sim::tally(counter, Event::kBranch, 1);
-          }
-        }
-      }
-      for (int o = 0; o < F; ++o) {
-        out.data[(static_cast<std::size_t>(o) * oh + oy) * ow + ox] = rq.apply(acc[o], o);
-      }
-      if (counter != nullptr) {
-        counter->add(Event::kRequant, static_cast<uint64_t>(F));
-        counter->add(Event::kSramRead, static_cast<uint64_t>(F));   // accumulator
-        counter->add(Event::kSramWrite, static_cast<uint64_t>(F));  // output store
-      }
-    }
-  }
-}
-
-void bitserial_linear(const QView& in, const PackedIndices& indices, const pool::DotLut& lut,
-                      const Requant& rq, BitSerialVariant variant, QView& out,
-                      ScratchArena& scratch, sim::CostCounter* counter) {
-  check(in.rank == 2 && in.shape[0] == 1, "bitserial_linear: input must be 1xF");
-  check(!in.is_signed, "bitserial_linear: activations must be unsigned-quantized");
-  const int fin = in.dim(1);
-  const int G = lut.group_size;
-  check(fin % G == 0, "bitserial_linear: input features must divide by group size");
-  check(indices.kh == 1 && indices.kw == 1 && indices.groups == fin / G,
-        "bitserial_linear: index map mismatch");
-  const int M = in.bits;
-  const int F = indices.out_ch;
-  const int S = lut.pool_size;
-
-  out.set_shape({1, F});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-
-  int32_t* acc = scratch.alloc<int32_t>(static_cast<std::size_t>(F));
-  int32_t* precomp = scratch.alloc<int32_t>(static_cast<std::size_t>(S));
-  uint8_t* memo_valid = scratch.alloc<uint8_t>(static_cast<std::size_t>(S));
-  std::fill(acc, acc + F, 0);
-  uint32_t bitvec[16] = {};
-  sim::tally(counter, Event::kSramWrite, static_cast<uint64_t>(F));
-
-  for (int g = 0; g < fin / G; ++g) {
-    const int16_t* group_vals = in.data + static_cast<std::size_t>(g) * G;
-    if (variant != BitSerialVariant::kNaive) unpack_bits(group_vals, G, M, bitvec, counter);
-    if (uses_cache(variant)) count_cache_fill(counter, M, lut);
-    GroupContext ctx{lut, indices.idx.data() + indices.flat(0, 0, g, 0), F, M, bitvec};
-    accumulate_filters(ctx, variant, acc, group_vals, G, precomp, memo_valid, counter);
-  }
-  for (int o = 0; o < F; ++o) out.data[static_cast<std::size_t>(o)] = rq.apply(acc[o], o);
-  if (counter != nullptr) {
-    counter->add(Event::kRequant, static_cast<uint64_t>(F));
-    counter->add(Event::kSramRead, static_cast<uint64_t>(F));
-    counter->add(Event::kSramWrite, static_cast<uint64_t>(F));
-  }
-}
-
 void bitserial_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
                             const PackedIndices& indices, const pool::DotLut& lut,
                             const nn::ConvSpec& spec, const Requant& rq, BitSerialVariant variant,
@@ -407,14 +292,7 @@ void bitserial_linear_batch(const QView& in, std::size_t in_stride, int batch,
   }
 }
 
-std::size_t bitserial_host_scratch_bytes(int out_ch, int pool_size, int group_size) {
-  return ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(out_ch)) +
-         ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(pool_size)) +
-         ScratchArena::bytes_for<uint8_t>(static_cast<std::size_t>(pool_size)) +
-         ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(group_size));
-}
-
-std::size_t bitserial_host_scratch_bytes_batch(int out_ch, int pool_size, int group_size,
+std::size_t bitserial_host_batch_scratch_bytes(int out_ch, int pool_size, int group_size,
                                                int batch) {
   return ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(out_ch) *
                                           static_cast<std::size_t>(batch)) +
@@ -433,9 +311,11 @@ QTensor bitserial_conv2d(const QTensor& input, const PackedIndices& indices,
   QTensor out({1, spec.out_ch, oh, ow}, rq.out.bits, rq.out.is_signed);
   out.scale = rq.out.scale;
   out.zero_point = rq.out.zero_point;
-  ScratchArena scratch(bitserial_host_scratch_bytes(spec.out_ch, lut.pool_size, lut.group_size));
+  ScratchArena scratch(
+      bitserial_host_batch_scratch_bytes(spec.out_ch, lut.pool_size, lut.group_size, 1));
   QView ov = QView::of(out);
-  bitserial_conv2d(QView::of(input), indices, lut, spec, rq, variant, ov, scratch, counter);
+  bitserial_conv2d_batch(QView::of(input), input.size(), 1, indices, lut, spec, rq, variant, ov,
+                         out.size(), scratch, counter);
   return out;
 }
 
@@ -446,9 +326,10 @@ QTensor bitserial_linear(const QTensor& input, const PackedIndices& indices,
   out.scale = rq.out.scale;
   out.zero_point = rq.out.zero_point;
   ScratchArena scratch(
-      bitserial_host_scratch_bytes(indices.out_ch, lut.pool_size, lut.group_size));
+      bitserial_host_batch_scratch_bytes(indices.out_ch, lut.pool_size, lut.group_size, 1));
   QView ov = QView::of(out);
-  bitserial_linear(QView::of(input), indices, lut, rq, variant, ov, scratch, counter);
+  bitserial_linear_batch(QView::of(input), input.size(), 1, indices, lut, rq, variant, ov,
+                         out.size(), scratch, counter);
   return out;
 }
 

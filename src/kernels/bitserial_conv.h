@@ -20,10 +20,13 @@
 //
 // All variants produce bit-identical outputs; they differ only in cost.
 //
-// The view cores draw their temporaries (accumulators, precompute/memo
+// Each layer type has one core, over a batch of images: at batch 1 it runs
+// the same loop a per-image kernel would, so there is no separate per-image
+// core. The cores draw their temporaries (accumulators, precompute/memo
 // buffers, channel-group staging) from a caller-provided ScratchArena so a
 // warm Executor performs zero heap allocations; the owning-QTensor wrappers
-// allocate their own scratch and remain for tests and one-off callers.
+// run one image through the same core with their own scratch and remain for
+// tests and one-off callers.
 #pragma once
 
 #include "core/arena.h"
@@ -43,52 +46,41 @@ enum class BitSerialVariant {
 const char* variant_name(BitSerialVariant v);
 
 // --- arena (view) cores ------------------------------------------------------
-
-/// Bit-serial pooled convolution into `out`. `in` must be unsigned-quantized
-/// with `in.bits` <= the LUT's supported range (activation bitwidth M is
-/// taken from the input view — reducing M truncates the bit-serial loop).
-/// `spec.groups` must be 1 and `spec.in_ch` divisible by the pool group size.
-void bitserial_conv2d(const QView& in, const PackedIndices& indices, const pool::DotLut& lut,
-                      const nn::ConvSpec& spec, const Requant& rq, BitSerialVariant variant,
-                      QView& out, ScratchArena& scratch, sim::CostCounter* counter);
-
-/// Bit-serial pooled fully-connected layer (footnote-1 configuration).
-void bitserial_linear(const QView& in, const PackedIndices& indices, const pool::DotLut& lut,
-                      const Requant& rq, BitSerialVariant variant, QView& out,
-                      ScratchArena& scratch, sim::CostCounter* counter);
-
-/// Host scratch bytes the view cores draw from their arena for a layer with
-/// `out_ch` filters against a pool of `pool_size` vectors and group size
-/// `group_size` (conservative: sized for the hungriest variant).
-std::size_t bitserial_host_scratch_bytes(int out_ch, int pool_size, int group_size);
-
-// --- batched cores -----------------------------------------------------------
 //
-// Batch-N forms over arena slots at a fixed per-image element stride (image
+// Batch-N cores over arena slots at a fixed per-image element stride (image
 // b reads `in.data + b * in_stride`, writes `out.data + b * out_stride`;
 // the views describe image 0). The image loop sits inside the (position,
 // kernel tap, channel group) context so the packed index row and cached LUT
 // blocks stay hot across the batch; each image's unpack / lookup /
-// accumulate sequence is unchanged, so outputs and CostCounter tallies are
-// byte-identical to `batch` per-image calls (tallies exactly batch x).
+// accumulate sequence is the per-image one, so outputs and CostCounter
+// tallies are byte-identical to `batch` single-image calls (tallies exactly
+// batch x).
 
-/// Batched bit-serial pooled convolution (see block comment above).
+/// Bit-serial pooled convolution of `batch` images into `out`. `in` must
+/// be unsigned-quantized with `in.bits` <= the LUT's supported range
+/// (activation bitwidth M is taken from the input view — reducing M
+/// truncates the bit-serial loop). `spec.groups` must be 1 and `spec.in_ch`
+/// divisible by the pool group size.
 void bitserial_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
                             const PackedIndices& indices, const pool::DotLut& lut,
                             const nn::ConvSpec& spec, const Requant& rq, BitSerialVariant variant,
                             QView& out, std::size_t out_stride, ScratchArena& scratch,
                             sim::CostCounter* counter);
 
-/// Batched bit-serial pooled fully-connected layer (see block comment above).
+/// Bit-serial pooled fully-connected layer of `batch` images (footnote-1
+/// configuration).
 void bitserial_linear_batch(const QView& in, std::size_t in_stride, int batch,
                             const PackedIndices& indices, const pool::DotLut& lut,
                             const Requant& rq, BitSerialVariant variant, QView& out,
                             std::size_t out_stride, ScratchArena& scratch,
                             sim::CostCounter* counter);
 
-/// Host scratch bytes of the batched cores: the accumulator array carries a
-/// batch dimension; the per-group staging buffers are shared.
-std::size_t bitserial_host_scratch_bytes_batch(int out_ch, int pool_size, int group_size,
+/// Host scratch bytes the cores draw for `batch` images of a layer with
+/// `out_ch` filters against a pool of `pool_size` vectors and group size
+/// `group_size`: the accumulator array carries the batch dimension, the
+/// per-group staging buffers are shared (sized for the hungriest variant;
+/// grows with `batch`, so it covers any smaller run).
+std::size_t bitserial_host_batch_scratch_bytes(int out_ch, int pool_size, int group_size,
                                                int batch);
 
 // --- owning wrappers ---------------------------------------------------------

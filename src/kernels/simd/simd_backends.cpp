@@ -5,7 +5,9 @@
 // scalar backends through KernelRegistry::find's scalar-lane fallback. One
 // bit-serial implementation serves all five variant keys — the variants are
 // bit-identical by contract and differ only in the MCU cost tallied.
-#include "binary/binarized.h"
+#include <algorithm>
+
+#include "binary/binary_backend.h"
 #include "kernels/simd/simd_dispatch.h"
 #include "kernels/simd/simd_kernels.h"
 #include "runtime/kernel_backend.h"
@@ -13,83 +15,71 @@
 namespace bswp::runtime {
 namespace {
 
-/// Per-image element stride of the plan's first input inside a batched arena.
-std::size_t input_stride(const ExecContext& ctx) {
-  return ctx.net.plans[static_cast<std::size_t>(ctx.plan.inputs[0])].out_elems();
-}
-
-class SimdConvBackend : public KernelBackend {
+class SimdConvBackend : public PerImageBackend {
  public:
   const char* name() const override { return "simd/conv"; }
-  void execute(const ExecContext& ctx) const override {
+  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan,
+                            int batch) const override {
+    (void)net;
+    (void)batch;
+    return kernels::simd::simd_conv_scratch_bytes(plan.spec);
+  }
+
+ protected:
+  void execute_image(const ExecContext& ctx) const override {
     kernels::simd::simd_conv2d(ctx.input(0), ctx.plan.qweights, ctx.plan.spec, ctx.plan.rq,
                                *ctx.out, *ctx.scratch, ctx.counter);
   }
-  void execute_batch(const ExecContext& ctx) const override {
-    kernels::simd::simd_conv2d_batch(ctx.input(0), input_stride(ctx), ctx.batch,
-                                     ctx.plan.qweights, ctx.plan.spec, ctx.plan.rq, *ctx.out,
-                                     ctx.plan.out_elems(), *ctx.scratch, ctx.counter);
-  }
-  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const override {
-    (void)net;
-    return kernels::simd::simd_conv_scratch_bytes(plan.spec);
-  }
-  std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
-                                  int batch) const override {
-    (void)net;
-    return kernels::simd::simd_conv_scratch_bytes_batch(plan.spec, batch);
-  }
 };
 
-class SimdLinearBackend : public KernelBackend {
+class SimdLinearBackend : public PerImageBackend {
  public:
   const char* name() const override { return "simd/linear"; }
-  void execute(const ExecContext& ctx) const override {
+  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan,
+                            int batch) const override {
+    (void)net;
+    (void)batch;
+    return kernels::simd::simd_linear_scratch_bytes(plan.qweights.dim(1));
+  }
+
+ protected:
+  void execute_image(const ExecContext& ctx) const override {
     kernels::simd::simd_linear(ctx.input(0), ctx.plan.qweights, ctx.plan.rq, *ctx.out,
                                *ctx.scratch, ctx.counter);
   }
-  void execute_batch(const ExecContext& ctx) const override {
-    kernels::simd::simd_linear_batch(ctx.input(0), input_stride(ctx), ctx.batch,
-                                     ctx.plan.qweights, ctx.plan.rq, *ctx.out,
-                                     ctx.plan.out_elems(), *ctx.scratch, ctx.counter);
-  }
-  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const override {
-    (void)net;
-    return kernels::simd::simd_linear_scratch_bytes(plan.qweights.dim(1));
-  }
-  std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
-                                  int batch) const override {
-    (void)net;
-    return kernels::simd::simd_linear_scratch_bytes_batch(plan.qweights.dim(1), batch);
-  }
 };
+
+// The bit-serial backends keep both cores: the per-image one is faster at
+// batch 1, the batched one at every larger batch (docs/kernels.md §5), so
+// execute() picks by ctx.batch and scratch_bytes() covers both.
 
 class SimdBitSerialConvBackend : public KernelBackend {
  public:
   explicit SimdBitSerialConvBackend(kernels::BitSerialVariant v) : variant_(v) {}
   const char* name() const override { return "simd/bitserial-conv"; }
   void execute(const ExecContext& ctx) const override {
-    kernels::simd::simd_bitserial_conv2d(ctx.input(0), ctx.plan.indices, ctx.net.lut,
-                                         ctx.plan.spec, ctx.plan.rq, variant_, *ctx.out,
-                                         *ctx.scratch, ctx.counter);
-  }
-  void execute_batch(const ExecContext& ctx) const override {
-    kernels::simd::simd_bitserial_conv2d_batch(ctx.input(0), input_stride(ctx), ctx.batch,
+    if (ctx.batch == 1) {
+      kernels::simd::simd_bitserial_conv2d(ctx.input(0), ctx.plan.indices, ctx.net.lut,
+                                           ctx.plan.spec, ctx.plan.rq, variant_, *ctx.out,
+                                           *ctx.scratch, ctx.counter);
+      return;
+    }
+    kernels::simd::simd_bitserial_conv2d_batch(ctx.input(0), ctx.input_stride(0), ctx.batch,
                                                ctx.plan.indices, ctx.net.lut, ctx.plan.spec,
                                                ctx.plan.rq, variant_, *ctx.out,
                                                ctx.plan.out_elems(), *ctx.scratch, ctx.counter);
   }
-  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const override {
-    return kernels::simd::simd_bitserial_scratch_bytes(plan.spec.out_ch, net.lut.pool_size,
-                                                       net.lut.group_size);
-  }
-  std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
-                                  int batch) const override {
+  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan,
+                            int batch) const override {
+    const std::size_t one = kernels::simd::simd_bitserial_scratch_bytes(
+        plan.spec.out_ch, net.lut.pool_size, net.lut.group_size);
+    if (batch == 1) return one;
     // The batched core additionally stages the batch's input windows in HWC
     // layout; the producing plan's out_chw gives the input geometry.
     const std::vector<int>& chw = net.plans[static_cast<std::size_t>(plan.inputs[0])].out_chw;
-    return kernels::simd::simd_bitserial_conv_scratch_bytes_batch(
-        plan.spec, chw[1], chw[2], plan.spec.out_ch, net.lut.pool_size, batch);
+    return std::max(one, kernels::simd::simd_bitserial_conv_batch_scratch_bytes(
+                             plan.spec, chw[1], chw[2], plan.spec.out_ch, net.lut.pool_size,
+                             batch));
   }
 
  private:
@@ -101,126 +91,28 @@ class SimdBitSerialLinearBackend : public KernelBackend {
   explicit SimdBitSerialLinearBackend(kernels::BitSerialVariant v) : variant_(v) {}
   const char* name() const override { return "simd/bitserial-linear"; }
   void execute(const ExecContext& ctx) const override {
-    kernels::simd::simd_bitserial_linear(ctx.input(0), ctx.plan.indices, ctx.net.lut,
-                                         ctx.plan.rq, variant_, *ctx.out, *ctx.scratch,
-                                         ctx.counter);
-  }
-  void execute_batch(const ExecContext& ctx) const override {
-    kernels::simd::simd_bitserial_linear_batch(ctx.input(0), input_stride(ctx), ctx.batch,
+    if (ctx.batch == 1) {
+      kernels::simd::simd_bitserial_linear(ctx.input(0), ctx.plan.indices, ctx.net.lut,
+                                           ctx.plan.rq, variant_, *ctx.out, *ctx.scratch,
+                                           ctx.counter);
+      return;
+    }
+    kernels::simd::simd_bitserial_linear_batch(ctx.input(0), ctx.input_stride(0), ctx.batch,
                                                ctx.plan.indices, ctx.net.lut, ctx.plan.rq,
                                                variant_, *ctx.out, ctx.plan.out_elems(),
                                                *ctx.scratch, ctx.counter);
   }
-  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const override {
-    return kernels::simd::simd_bitserial_scratch_bytes(plan.indices.out_ch, net.lut.pool_size,
-                                                       net.lut.group_size);
-  }
-  std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
-                                  int batch) const override {
-    return kernels::simd::simd_bitserial_scratch_bytes_batch(
-        plan.indices.out_ch, net.lut.pool_size, net.lut.group_size, batch);
+  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan,
+                            int batch) const override {
+    const std::size_t one = kernels::simd::simd_bitserial_scratch_bytes(
+        plan.indices.out_ch, net.lut.pool_size, net.lut.group_size);
+    if (batch == 1) return one;
+    return std::max(one, kernels::simd::simd_bitserial_batch_scratch_bytes(
+                             plan.indices.out_ch, net.lut.pool_size, net.lut.group_size, batch));
   }
 
  private:
   kernels::BitSerialVariant variant_;
-};
-
-/// Same staging as the scalar XnorConvBackend; the counts core runs the
-/// 64-bit-word popcount path.
-class SimdXnorConvBackend : public KernelBackend {
- public:
-  const char* name() const override { return "simd/xnor-conv"; }
-  void execute(const ExecContext& ctx) const override {
-    const LayerPlan& plan = ctx.plan;
-    const kernels::QView& in = ctx.input(0);
-    check(in.rank == 4 && in.shape[0] == 1,
-          "simd xnor backend: input must be a single CHW activation");
-    const nn::ConvSpec& spec = plan.spec;
-    check(in.dim(1) == spec.in_ch, "simd xnor backend: channel mismatch");
-    const int h = in.dim(2), w = in.dim(3);
-    const int oh = spec.out_h(h), ow = spec.out_w(w);
-    const int words = binary::binary_pack_words(spec.in_ch);
-
-    uint32_t* in_bits = ctx.scratch->alloc<uint32_t>(static_cast<std::size_t>(h) * w * words);
-    uint32_t* w_bits = ctx.scratch->alloc<uint32_t>(static_cast<std::size_t>(spec.out_ch) *
-                                                    spec.kh * spec.kw * words);
-    int32_t* counts =
-        ctx.scratch->alloc<int32_t>(static_cast<std::size_t>(spec.out_ch) * oh * ow);
-    binary::pack_binary_input_q(in.data, spec.in_ch, h, w, in.zero_point, in_bits);
-    binary::pack_binary_weights_q(plan.qweights.data.data(), spec, w_bits);
-    kernels::simd::simd_xnor_conv2d_counts(in_bits, spec.in_ch, h, w, w_bits, spec, counts,
-                                           ctx.counter);
-
-    kernels::QView& out = *ctx.out;
-    out.set_shape({1, spec.out_ch, oh, ow});
-    out.bits = plan.rq.out.bits;
-    out.is_signed = plan.rq.out.is_signed;
-    out.scale = plan.rq.out.scale;
-    out.zero_point = plan.rq.out.zero_point;
-    const int hw = oh * ow;
-    for (int o = 0; o < spec.out_ch; ++o) {
-      for (int i = 0; i < hw; ++i) {
-        const std::size_t idx = static_cast<std::size_t>(o) * hw + static_cast<std::size_t>(i);
-        out.data[idx] = plan.rq.apply(counts[idx], o);
-      }
-    }
-  }
-
-  void execute_batch(const ExecContext& ctx) const override {
-    const LayerPlan& plan = ctx.plan;
-    const kernels::QView& in = ctx.input(0);
-    check(in.rank == 4 && in.shape[0] == 1,
-          "simd xnor backend: input must be a single CHW activation");
-    const nn::ConvSpec& spec = plan.spec;
-    check(in.dim(1) == spec.in_ch, "simd xnor backend: channel mismatch");
-    const int h = in.dim(2), w = in.dim(3);
-    const int oh = spec.out_h(h), ow = spec.out_w(w);
-    const int words = binary::binary_pack_words(spec.in_ch);
-    const std::size_t in_stride = input_stride(ctx);
-    const std::size_t out_stride = plan.out_elems();
-
-    // Weights packed once per batch (the packers tally nothing, so counters
-    // stay exactly batch x per-image); input/count staging reused per image.
-    uint32_t* in_bits = ctx.scratch->alloc<uint32_t>(static_cast<std::size_t>(h) * w * words);
-    uint32_t* w_bits = ctx.scratch->alloc<uint32_t>(static_cast<std::size_t>(spec.out_ch) *
-                                                    spec.kh * spec.kw * words);
-    int32_t* counts =
-        ctx.scratch->alloc<int32_t>(static_cast<std::size_t>(spec.out_ch) * oh * ow);
-    binary::pack_binary_weights_q(plan.qweights.data.data(), spec, w_bits);
-
-    kernels::QView& out = *ctx.out;
-    out.set_shape({1, spec.out_ch, oh, ow});
-    out.bits = plan.rq.out.bits;
-    out.is_signed = plan.rq.out.is_signed;
-    out.scale = plan.rq.out.scale;
-    out.zero_point = plan.rq.out.zero_point;
-    const int hw = oh * ow;
-    for (int b = 0; b < ctx.batch; ++b) {
-      const int16_t* src = in.data + static_cast<std::size_t>(b) * in_stride;
-      binary::pack_binary_input_q(src, spec.in_ch, h, w, in.zero_point, in_bits);
-      kernels::simd::simd_xnor_conv2d_counts(in_bits, spec.in_ch, h, w, w_bits, spec, counts,
-                                             ctx.counter);
-      int16_t* dst = out.data + static_cast<std::size_t>(b) * out_stride;
-      for (int o = 0; o < spec.out_ch; ++o) {
-        for (int i = 0; i < hw; ++i) {
-          const std::size_t idx = static_cast<std::size_t>(o) * hw + static_cast<std::size_t>(i);
-          dst[idx] = plan.rq.apply(counts[idx], o);
-        }
-      }
-    }
-  }
-
-  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const override {
-    const nn::ConvSpec& spec = plan.spec;
-    const LayerPlan& src = net.plans[static_cast<std::size_t>(plan.inputs[0])];
-    const std::size_t words = static_cast<std::size_t>(binary::binary_pack_words(spec.in_ch));
-    const std::size_t in_hw =
-        spec.in_ch > 0 ? src.out_elems() / static_cast<std::size_t>(spec.in_ch) : 0;
-    const std::size_t taps = static_cast<std::size_t>(spec.out_ch) * spec.kh * spec.kw;
-    return ScratchArena::bytes_for<uint32_t>(in_hw * words) +
-           ScratchArena::bytes_for<uint32_t>(taps * words) +
-           ScratchArena::bytes_for<int32_t>(plan.out_elems());
-  }
 };
 
 }  // namespace
@@ -240,7 +132,9 @@ void register_simd_backends(KernelRegistry& r) {
     r.add(PlanKind::kLinearBitSerial, kSimdKeyOffset + static_cast<int>(v),
           std::make_unique<SimdBitSerialLinearBackend>(v));
   }
-  r.add(PlanKind::kConvBinary, kSimdKeyOffset, std::make_unique<SimdXnorConvBackend>());
+  r.add(PlanKind::kConvBinary, kSimdKeyOffset,
+        binary::make_xnor_conv_backend("simd/xnor-conv",
+                                       kernels::simd::simd_xnor_conv2d_counts));
 }
 
 }  // namespace detail

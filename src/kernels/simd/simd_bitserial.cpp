@@ -425,7 +425,7 @@ std::size_t simd_bitserial_scratch_bytes(int out_ch, int pool_size, int group_si
          ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(group_size));
 }
 
-std::size_t simd_bitserial_scratch_bytes_batch(int out_ch, int pool_size, int group_size,
+std::size_t simd_bitserial_batch_scratch_bytes(int out_ch, int pool_size, int group_size,
                                                int batch) {
   return ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(out_ch) *
                                           static_cast<std::size_t>(batch)) +
@@ -433,7 +433,7 @@ std::size_t simd_bitserial_scratch_bytes_batch(int out_ch, int pool_size, int gr
          ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(group_size));
 }
 
-std::size_t simd_bitserial_conv_scratch_bytes_batch(const nn::ConvSpec& spec, int in_h, int in_w,
+std::size_t simd_bitserial_conv_batch_scratch_bytes(const nn::ConvSpec& spec, int in_h, int in_w,
                                                     int out_ch, int pool_size, int batch) {
   return ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(out_ch) *
                                           static_cast<std::size_t>(batch)) +

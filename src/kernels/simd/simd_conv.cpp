@@ -206,151 +206,6 @@ void simd_linear(const QView& in, const QTensor& weights, const Requant& rq, QVi
   if (counter != nullptr) counter->merge(sim::baseline_linear_cost(fin, fout));
 }
 
-void simd_conv2d_batch(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
-                       const nn::ConvSpec& spec, const Requant& rq, QView& out,
-                       std::size_t out_stride, ScratchArena& scratch, sim::CostCounter* counter) {
-  check(in.rank == 4 && in.shape[0] == 1, "simd_conv2d_batch: input must be 1xCxHxW");
-  check(in.dim(1) == spec.in_ch, "simd_conv2d_batch: channel mismatch");
-  check(batch >= 1, "simd_conv2d_batch: batch must be >= 1");
-  const int h = in.dim(2), w = in.dim(3);
-  const int oh = spec.out_h(h), ow = spec.out_w(w);
-  const int cg = spec.in_ch / spec.groups;
-  const int og = spec.out_ch / spec.groups;
-  const std::size_t wstride = static_cast<std::size_t>(cg) * spec.kh * spec.kw;
-  const int K = cg * spec.kh * spec.kw;
-
-  out.set_shape({1, spec.out_ch, oh, ow});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-  const int32_t in_zp = in.zero_point;
-
-  // All N columns staged side by side; each 4-wide filter tile then sweeps
-  // the whole batch, so the weight rows are loaded once per batch.
-  int16_t* cols = scratch.alloc<int16_t>(static_cast<std::size_t>(batch) * K);
-#if defined(BSWP_SIMD_X86)
-  const bool use_avx2 = avx2_supported();
-#endif
-
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      for (int g = 0; g < spec.groups; ++g) {
-        for (int b = 0; b < batch; ++b) {
-          QView in_b = in;
-          in_b.data += static_cast<std::size_t>(b) * in_stride;
-          stage_column(in_b, spec, g, oy, ox, h, w, cg, in_zp, cols + static_cast<std::size_t>(b) * K);
-        }
-        const int16_t* wbase = weights.data.data() + static_cast<std::size_t>(g) * og * wstride;
-        int oc = 0;
-#if defined(BSWP_SIMD_X86)
-        if (use_avx2) {
-          for (; oc + 4 <= og; oc += 4) {
-            for (int b = 0; b < batch; ++b) {
-              int32_t r[4];
-              dot4_avx2(cols + static_cast<std::size_t>(b) * K,
-                        wbase + static_cast<std::size_t>(oc) * wstride, wstride, K, r);
-              for (int i = 0; i < 4; ++i) {
-                const int o = g * og + oc + i;
-                out.data[static_cast<std::size_t>(b) * out_stride +
-                         (static_cast<std::size_t>(o) * oh + oy) * ow + ox] = rq.apply(r[i], o);
-              }
-            }
-          }
-          for (; oc < og; ++oc) {
-            const int o = g * og + oc;
-            for (int b = 0; b < batch; ++b) {
-              out.data[static_cast<std::size_t>(b) * out_stride +
-                       (static_cast<std::size_t>(o) * oh + oy) * ow + ox] =
-                  rq.apply(dot1_avx2(cols + static_cast<std::size_t>(b) * K,
-                                     wbase + static_cast<std::size_t>(oc) * wstride, K),
-                           o);
-            }
-          }
-        }
-#endif
-        for (; oc < og; ++oc) {
-          const int o = g * og + oc;
-          for (int b = 0; b < batch; ++b) {
-            out.data[static_cast<std::size_t>(b) * out_stride +
-                     (static_cast<std::size_t>(o) * oh + oy) * ow + ox] =
-                rq.apply(dot1_portable(cols + static_cast<std::size_t>(b) * K,
-                                       wbase + static_cast<std::size_t>(oc) * wstride, K),
-                         o);
-          }
-        }
-      }
-    }
-  }
-  // Exactly batch x the scalar MCU reference events (the modeled MCU does
-  // not batch; the batched closed forms in sim/layer_cost.h only price the
-  // host-side amortization for lane selection).
-  if (counter != nullptr) {
-    const sim::CostCounter per_image = sim::baseline_conv_cost(spec, h, w);
-    for (int b = 0; b < batch; ++b) counter->merge(per_image);
-  }
-}
-
-void simd_linear_batch(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
-                       const Requant& rq, QView& out, std::size_t out_stride,
-                       ScratchArena& scratch, sim::CostCounter* counter) {
-  check(in.rank == 2 && in.shape[0] == 1, "simd_linear_batch: input must be 1xF");
-  check(batch >= 1, "simd_linear_batch: batch must be >= 1");
-  const int fin = in.dim(1), fout = weights.dim(0);
-  check(weights.dim(1) == fin, "simd_linear_batch: shape mismatch");
-  out.set_shape({1, fout});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-
-  int16_t* cols = scratch.alloc<int16_t>(static_cast<std::size_t>(batch) * fin);
-  const int32_t in_zp = in.zero_point;
-  for (int b = 0; b < batch; ++b) {
-    const int16_t* src = in.data + static_cast<std::size_t>(b) * in_stride;
-    int16_t* col = cols + static_cast<std::size_t>(b) * fin;
-#pragma omp simd
-    for (int i = 0; i < fin; ++i) col[i] = static_cast<int16_t>(src[i] - in_zp);
-  }
-
-  const int16_t* wbase = weights.data.data();
-  const auto wstride = static_cast<std::size_t>(fin);
-  int o = 0;
-#if defined(BSWP_SIMD_X86)
-  if (avx2_supported()) {
-    for (; o + 4 <= fout; o += 4) {
-      for (int b = 0; b < batch; ++b) {
-        int32_t r[4];
-        dot4_avx2(cols + static_cast<std::size_t>(b) * fin,
-                  wbase + static_cast<std::size_t>(o) * wstride, wstride, fin, r);
-        int16_t* dst = out.data + static_cast<std::size_t>(b) * out_stride;
-        for (int i = 0; i < 4; ++i) dst[static_cast<std::size_t>(o + i)] = rq.apply(r[i], o + i);
-      }
-    }
-    for (; o < fout; ++o) {
-      for (int b = 0; b < batch; ++b) {
-        out.data[static_cast<std::size_t>(b) * out_stride + static_cast<std::size_t>(o)] =
-            rq.apply(dot1_avx2(cols + static_cast<std::size_t>(b) * fin,
-                               wbase + static_cast<std::size_t>(o) * wstride, fin),
-                     o);
-      }
-    }
-  }
-#endif
-  for (; o < fout; ++o) {
-    for (int b = 0; b < batch; ++b) {
-      out.data[static_cast<std::size_t>(b) * out_stride + static_cast<std::size_t>(o)] =
-          rq.apply(dot1_portable(cols + static_cast<std::size_t>(b) * fin,
-                                 wbase + static_cast<std::size_t>(o) * wstride, fin),
-                   o);
-    }
-  }
-  if (counter != nullptr) {
-    const sim::CostCounter per_image = sim::baseline_linear_cost(fin, fout);
-    for (int b = 0; b < batch; ++b) counter->merge(per_image);
-  }
-}
-
 std::size_t simd_conv_scratch_bytes(const nn::ConvSpec& spec) {
   return ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(spec.in_ch / spec.groups) *
                                           spec.kh * spec.kw);
@@ -358,16 +213,6 @@ std::size_t simd_conv_scratch_bytes(const nn::ConvSpec& spec) {
 
 std::size_t simd_linear_scratch_bytes(int in_features) {
   return ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(in_features));
-}
-
-std::size_t simd_conv_scratch_bytes_batch(const nn::ConvSpec& spec, int batch) {
-  return ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(spec.in_ch / spec.groups) *
-                                          spec.kh * spec.kw * static_cast<std::size_t>(batch));
-}
-
-std::size_t simd_linear_scratch_bytes_batch(int in_features, int batch) {
-  return ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(in_features) *
-                                          static_cast<std::size_t>(batch));
 }
 
 }  // namespace bswp::kernels::simd

@@ -30,9 +30,11 @@
 // so Session::estimate_latency keeps answering "what would this cost on the
 // microcontroller" no matter which host lane produced the logits.
 //
-// All cores draw temporaries exclusively from the caller's ScratchArena;
-// the *_scratch_bytes helpers report the exact upper bound the backends
-// advertise through KernelBackend::scratch_bytes().
+// The int8 and XNOR cores handle one image (their backends loop a batch
+// through runtime::PerImageBackend); the bit-serial cores also have batched
+// forms, below. All cores draw temporaries exclusively from the caller's
+// ScratchArena; the *_scratch_bytes helpers report the exact upper bound the
+// backends advertise through KernelBackend::scratch_bytes().
 #pragma once
 
 #include "core/arena.h"
@@ -72,26 +74,18 @@ void simd_xnor_conv2d_counts(const uint32_t* in_bits, int in_ch, int h, int w,
                              const uint32_t* weight_bits, const nn::ConvSpec& spec,
                              int32_t* counts, sim::CostCounter* counter);
 
-// --- batched cores -----------------------------------------------------------
+// --- batched bit-serial cores ------------------------------------------------
 //
 // Batch-N forms over arena slots at a fixed per-image element stride (image
 // b reads `in.data + b * in_stride`, writes `out.data + b * out_stride`; the
-// views describe image 0). The conv/linear cores stage all N im2col columns
-// per (position, group) and sweep each 4-wide AVX2 filter tile across the
-// whole batch, loading every weight row once per batch instead of once per
-// image; the bit-serial cores keep the LUT rows and index gathers hot across
-// images. Per-image dot products are unchanged, so results and CostCounter
-// tallies are byte-identical to `batch` per-image calls.
-
-/// Batched vectorized int8 convolution (see block comment above).
-void simd_conv2d_batch(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
-                       const nn::ConvSpec& spec, const Requant& rq, QView& out,
-                       std::size_t out_stride, ScratchArena& scratch, sim::CostCounter* counter);
-
-/// Batched vectorized int8 fully-connected layer (see block comment above).
-void simd_linear_batch(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
-                       const Requant& rq, QView& out, std::size_t out_stride,
-                       ScratchArena& scratch, sim::CostCounter* counter);
+// views describe image 0). They keep the LUT rows and index gathers hot
+// across images, and the conv core stages the batch's input windows HWC once
+// and unpacks one channel-group context of up to 8 images per transposed
+// AVX2 pass. Per-image dot products are unchanged, so results and
+// CostCounter tallies are byte-identical to `batch` per-image calls. The
+// bit-serial family is the only one that keeps both a per-image and a
+// batched core: its backends take the per-image core at batch 1, where it is
+// faster, and the batched core at every larger batch (docs/kernels.md §5).
 
 /// Batched widened bit-serial pooled convolution (see block comment above).
 void simd_bitserial_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
@@ -117,21 +111,15 @@ std::size_t simd_linear_scratch_bytes(int in_features);
 /// values + channel-group staging); covers both conv and linear.
 std::size_t simd_bitserial_scratch_bytes(int out_ch, int pool_size, int group_size);
 
-/// Scratch of the batched conv core (`batch` im2col columns side by side).
-std::size_t simd_conv_scratch_bytes_batch(const nn::ConvSpec& spec, int batch);
-
-/// Scratch of the batched linear core (`batch` shifted input rows).
-std::size_t simd_linear_scratch_bytes_batch(int in_features, int batch);
-
 /// Scratch of the batched bit-serial linear core (batch-wide accumulator
 /// array; pool values are shared across images).
-std::size_t simd_bitserial_scratch_bytes_batch(int out_ch, int pool_size, int group_size,
+std::size_t simd_bitserial_batch_scratch_bytes(int out_ch, int pool_size, int group_size,
                                                int batch);
 
 /// Scratch of the batched bit-serial conv core: batch-wide accumulators plus
 /// the batch's HWC-staged input windows (every channel-group read in the hot
 /// context loop becomes one contiguous row instead of G strided loads).
-std::size_t simd_bitserial_conv_scratch_bytes_batch(const nn::ConvSpec& spec, int in_h, int in_w,
+std::size_t simd_bitserial_conv_batch_scratch_bytes(const nn::ConvSpec& spec, int in_h, int in_w,
                                                     int out_ch, int pool_size, int batch);
 
 }  // namespace bswp::kernels::simd

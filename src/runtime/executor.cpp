@@ -48,11 +48,7 @@ const kernels::QView& Executor::walk(const Tensor* images, int n, sim::CostCount
                     &scratch_,
                     per_layer != nullptr ? &per_layer[p] : counter,
                     n};
-    if (n == 1) {
-      backends_[p]->execute(ctx);
-    } else {
-      backends_[p]->execute_batch(ctx);
-    }
+    backends_[p]->execute(ctx);
     check(views_[p].len <= net.plans[p].out_elems(),
           "Executor: backend overflowed its planned output slot");
   }

@@ -9,11 +9,11 @@
 // Batched execution: an Executor built with max_batch > 1 plans every
 // activation slot with a batch dimension (image i of plan p lives at
 // views[p].data + i * p.out_elems()) and run_batch_view() walks the plan
-// list ONCE for the whole batch, handing each backend an ExecContext with
-// batch = N. Backends with a batched core amortize their stationary operand
-// (weights, LUT residency, im2row tiles) across the batch; the rest fall
-// back to a per-image loop. Either way the results are byte-identical to N
-// sequential run_view() calls.
+// list ONCE for the whole batch, handing each backend's one entry point,
+// KernelBackend::execute, an ExecContext with batch = N (run_view is the
+// same walk with batch = 1). Whether a backend runs a batched core or loops
+// its per-image kernel is its own business; either way the results are
+// byte-identical to N sequential run_view() calls.
 //
 // This replaces the PR-1-era free functions runtime::run / run_logits /
 // resolve_backends (which allocated every activation on every call). One-off
@@ -108,9 +108,9 @@ class Executor {
   std::size_t scratch_high_water() const { return scratch_.high_water(); }
 
  private:
-  /// The one layer loop: every plan for `n` contiguous images (n == 1 takes
-  /// the per-image cores), tallying into `counter`, or into per_layer[p] when
-  /// `per_layer` is non-null, and checking `cancel` at every layer boundary.
+  /// The one layer loop: every plan for `n` contiguous images, tallying into
+  /// `counter`, or into per_layer[p] when `per_layer` is non-null, and
+  /// checking `cancel` at every layer boundary.
   const kernels::QView& walk(const Tensor* images, int n, sim::CostCounter* counter,
                              sim::CostCounter* per_layer, const CancelToken* cancel);
 

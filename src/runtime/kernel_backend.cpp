@@ -5,15 +5,16 @@
 
 namespace bswp::runtime {
 
-void KernelBackend::execute_batch(const ExecContext& ctx) const {
-  if (ctx.batch <= 1) {
-    execute(ctx);
+void PerImageBackend::execute(const ExecContext& ctx) const {
+  if (ctx.batch == 1) {
+    execute_image(ctx);
     return;
   }
   // Per-image loop: shift every view by the per-image stride and run the
-  // scalar path. Fixed-capacity input staging keeps this allocation-free.
+  // single-image kernel. Fixed-capacity input staging keeps this
+  // allocation-free.
   constexpr int kMaxInputs = 4;
-  check(ctx.num_inputs <= kMaxInputs, "execute_batch: too many plan inputs");
+  check(ctx.num_inputs <= kMaxInputs, "PerImageBackend: too many plan inputs");
   kernels::QView in_views[kMaxInputs];
   const kernels::QView* in_ptrs[kMaxInputs];
   for (int k = 0; k < ctx.num_inputs; ++k) in_ptrs[k] = &in_views[k];
@@ -21,9 +22,8 @@ void KernelBackend::execute_batch(const ExecContext& ctx) const {
   const std::size_t out_stride = ctx.plan.out_elems();
   for (int i = 0; i < ctx.batch; ++i) {
     for (int k = 0; k < ctx.num_inputs; ++k) {
-      const std::size_t src = static_cast<std::size_t>(ctx.plan.inputs[static_cast<std::size_t>(k)]);
       in_views[k] = *ctx.inputs[k];
-      in_views[k].data += static_cast<std::size_t>(i) * ctx.net.plans[src].out_elems();
+      in_views[k].data += static_cast<std::size_t>(i) * ctx.input_stride(k);
     }
     out = *ctx.out;
     out.data = ctx.out->data + static_cast<std::size_t>(i) * out_stride;
@@ -33,10 +33,10 @@ void KernelBackend::execute_batch(const ExecContext& ctx) const {
                     &out,            ctx.scratch,
                     ctx.counter};
     ctx.scratch->reset();
-    execute(sub);
+    execute_image(sub);
   }
   // Stamp the base view with image 0's pointer and the (identical across
-  // images) metadata the last execute filled in.
+  // images) metadata the last image filled in.
   out.data = ctx.out->data;
   *ctx.out = out;
 }

@@ -7,13 +7,21 @@
 // here; new backends (SIMD hosts, sharded/cached server execution, hardware
 // offload) plug in without touching the Executor loop in executor.cpp.
 //
-// Execution contract (arena model): execute(ctx) writes the layer's result
-// into `ctx.out` — a view over a MemoryPlanner-assigned slot of the
+// Execution contract (arena model): execute(ctx) is the one entry point. It
+// runs `ctx.batch` >= 1 images, writing image i's result at the per-image
+// stride into `ctx.out` — a view over a MemoryPlanner-assigned slot of the
 // Executor's arena — and draws any temporaries from `ctx.scratch`, a bump
 // arena reset between layers. A backend must write every element of its
 // output, fill the view's shape/quantization metadata, and report its peak
-// scratch need via scratch_bytes() so the Executor can size the arena once;
-// a warm Executor::run() then performs zero heap allocations.
+// scratch need for any run of 1..batch images via scratch_bytes() so the
+// Executor can size the arena once; a warm Executor::run() then performs
+// zero heap allocations. Every batch size must be byte-identical to running
+// the images one at a time, and tally exactly batch x the per-image
+// CostCounter events.
+//
+// Backends whose kernel handles one image derive from PerImageBackend, whose
+// execute() loops the images; a family with a batched core overrides
+// execute() itself (docs/kernels.md §5).
 //
 // Variant keying: plans whose kind carries a BitSerialVariant resolve with
 // that variant; every other kind resolves with kAnyVariant. Lookup tries the
@@ -56,15 +64,20 @@ struct ExecContext {
   /// Per-layer scratch (reset before each execute call).
   ScratchArena* scratch = nullptr;
   sim::CostCounter* counter = nullptr;
-  /// Number of images in this call (execute_batch only; execute sees 1).
-  /// Image i of a plan p lives at `view.data + i * p.out_elems()` — the
-  /// planned slot capacity is the per-image element stride, and the base
-  /// views (`inputs`, `out`) describe image 0. For kInput plans, `image`
-  /// points at a contiguous array of `batch` Tensors.
+  /// Number of images in this call (>= 1). Image i of a plan p lives at
+  /// `view.data + i * p.out_elems()` — the planned slot capacity is the
+  /// per-image element stride, and the base views (`inputs`, `out`) describe
+  /// image 0. For kInput plans, `image` points at a contiguous array of
+  /// `batch` Tensors.
   int batch = 1;
 
   /// Activation produced by the plan's i-th input (image 0 when batched).
   const kernels::QView& input(int i) const { return *inputs[i]; }
+  /// Per-image element stride of the plan's i-th input.
+  std::size_t input_stride(int i) const {
+    return net.plans[static_cast<std::size_t>(plan.inputs[static_cast<std::size_t>(i)])]
+        .out_elems();
+  }
 };
 
 /// One executable kernel implementation.
@@ -73,36 +86,38 @@ class KernelBackend {
   virtual ~KernelBackend() = default;
   /// Stable identifier, e.g. "baseline/conv" or "bitserial/cached".
   virtual const char* name() const = 0;
-  /// Execute `ctx.plan`, writing the result into `ctx.out` and drawing
-  /// temporaries from `ctx.scratch` (never the heap).
+  /// Execute `ctx.plan` for `ctx.batch` images laid out at the per-image
+  /// stride (see ExecContext::batch), writing into `ctx.out` and drawing
+  /// temporaries from `ctx.scratch` (never the heap). Byte-identical to
+  /// `ctx.batch` single-image calls — same int32 accumulation order, same
+  /// requant, exactly batch x the per-image CostCounter tallies.
   virtual void execute(const ExecContext& ctx) const = 0;
-  /// Execute `ctx.plan` for `ctx.batch` images laid out contiguously at the
-  /// per-image stride (see ExecContext::batch). Backends override this to
-  /// amortize stationary work (weight loads, LUT residency, im2row tiles)
-  /// across the batch; the override MUST stay byte-identical to running
-  /// execute() once per image — same int32 accumulation order, same requant,
-  /// same CostCounter tallies (exactly batch x the per-image counts). The
-  /// default loops execute() per image, resetting scratch between images.
-  virtual void execute_batch(const ExecContext& ctx) const;
-  /// Upper bound on the scratch bytes execute() draws for this plan. The
-  /// MemoryPlanner sizes the Executor's scratch region from the maximum over
-  /// all plans; an under-report makes the ScratchArena throw at run time.
-  /// Default: 0 — correct only for a backend that draws nothing from
-  /// ctx.scratch (an over-report merely wastes arena bytes).
-  virtual std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const {
+  /// Upper bound on the scratch bytes execute() draws for this plan in any
+  /// run of 1..`batch` images. The MemoryPlanner sizes the Executor's
+  /// scratch region from the maximum over all plans; an under-report makes
+  /// the ScratchArena throw at run time. Default: 0 — correct only for a
+  /// backend that draws nothing from ctx.scratch (an over-report merely
+  /// wastes arena bytes).
+  virtual std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan,
+                                    int batch) const {
     (void)net;
     (void)plan;
+    (void)batch;
     return 0;
   }
-  /// Upper bound on the scratch bytes execute_batch() draws for `batch`
-  /// images. Default: the per-image bound — correct for the default
-  /// per-image loop and for any batched core that reuses one image's
-  /// staging buffers; a core staging batch-wide state must override.
-  virtual std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
-                                          int batch) const {
-    (void)batch;
-    return scratch_bytes(net, plan);
-  }
+};
+
+/// Base for backends whose kernel handles one image per call. execute()
+/// calls execute_image() directly at batch 1; for a batch it shifts every
+/// view by the per-image stride and calls it once per image, resetting
+/// scratch in between — so the per-image scratch bound covers any batch.
+class PerImageBackend : public KernelBackend {
+ public:
+  void execute(const ExecContext& ctx) const final;
+
+ protected:
+  /// Execute `ctx.plan` for the single image the views describe.
+  virtual void execute_image(const ExecContext& ctx) const = 0;
 };
 
 /// Wildcard variant key for plan kinds that carry no bit-serial variant.
@@ -175,6 +190,13 @@ class KernelRegistry {
   mutable std::mutex mu_;
   std::vector<std::pair<Key, std::unique_ptr<KernelBackend>>> backends_;
 };
+
+/// The input plan's shape rule, shared by the structural input backend and
+/// callers that validate a request before it executes (the
+/// InferenceServer): empty when `image` is one CHW or 1xCxHxW image whose
+/// shape matches `want_chw` (any CHW shape when `want_chw` is not 3-D),
+/// otherwise the error message the input backend throws.
+std::string input_shape_error(const Tensor& image, const std::vector<int>& want_chw);
 
 namespace detail {
 /// Built-in backend registration hooks (defined next to their kernels; called

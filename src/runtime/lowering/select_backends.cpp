@@ -154,9 +154,8 @@ class SelectBackends : public Pass {
       } else {
         const sim::McuProfile& host = ctx.opt.host_profile;
         const PlanNode& src = pg.node(n.inputs[0]);
-        const int batch = ctx.opt.batch_hint > 1 ? ctx.opt.batch_hint : 1;
-        scalar_cyc = host.cycles(scalar_lane_cost(ctx, n, src, batch));
-        simd_cyc = host.cycles(simd_lane_cost(ctx, n, src, batch));
+        scalar_cyc = host.cycles(scalar_lane_cost(ctx, n, src));
+        simd_cyc = host.cycles(simd_lane_cost(ctx, n, src));
         if (simd_cyc < scalar_cyc) n.lane = HostLane::kSimd;
       }
     }
@@ -166,66 +165,42 @@ class SelectBackends : public Pass {
   }
 
   /// Host-profile event counts of the scalar lane for the backend already
-  /// chosen for `n` (baseline int8 or the winning bit-serial variant). With
-  /// `batch` > 1 (CompileOptions::batch_hint) the batched closed forms price
-  /// one batched-core call over the whole batch.
+  /// chosen for `n` (baseline int8 or the winning bit-serial variant).
   static sim::CostCounter scalar_lane_cost(const PassContext& ctx, const PlanNode& n,
-                                           const PlanNode& src, int batch) {
+                                           const PlanNode& src) {
     if (n.kind == PlanKind::kConvBaseline || n.kind == PlanKind::kLinearBaseline) {
-      return baseline_cost_for(ctx, n, src, batch);
+      return baseline_cost_for(ctx, n, src);
     }
     check(src.quant_assigned, "SelectBackends: producer of '" + n.name + "' lacks quantization");
-    if (batch > 1) {
-      if (n.op == nn::Op::kLinear) {
-        const int fin = static_cast<int>(elems(src.out_chw));
-        return sim::bitserial_linear_cost_batched(fin, src.oq.bits, *ctx.lut, n.indices,
-                                                  n.variant, batch);
-      }
-      const nn::ConvSpec& spec = ctx.graph.node(n.graph_node).conv;
-      return sim::bitserial_conv_cost_batched(spec, src.out_chw[1], src.out_chw[2], src.oq.bits,
-                                              *ctx.lut, n.indices, n.variant, batch);
-    }
     return variant_cost(ctx, n, src, src.oq.bits, n.variant);
   }
 
   static sim::CostCounter simd_lane_cost(const PassContext& ctx, const PlanNode& n,
-                                         const PlanNode& src, int batch) {
+                                         const PlanNode& src) {
     if (n.op == nn::Op::kLinear) {
       const int fin = static_cast<int>(elems(src.out_chw));
       if (n.kind == PlanKind::kLinearBaseline) {
-        const int fout = ctx.graph.node(n.graph_node).weight.dim(0);
-        return batch > 1 ? sim::simd_linear_cost_batched(fin, fout, batch)
-                         : sim::simd_linear_cost(fin, fout);
+        return sim::simd_linear_cost(fin, ctx.graph.node(n.graph_node).weight.dim(0));
       }
-      return batch > 1 ? sim::simd_bitserial_linear_cost_batched(fin, n.indices.out_ch,
-                                                                 src.oq.bits, *ctx.lut, batch)
-                       : sim::simd_bitserial_linear_cost(fin, n.indices.out_ch, src.oq.bits,
-                                                         *ctx.lut);
+      return sim::simd_bitserial_linear_cost(fin, n.indices.out_ch, src.oq.bits, *ctx.lut);
     }
     const nn::ConvSpec& spec = ctx.graph.node(n.graph_node).conv;
     if (n.kind == PlanKind::kConvBaseline) {
-      return batch > 1 ? sim::simd_conv_cost_batched(spec, src.out_chw[1], src.out_chw[2], batch)
-                       : sim::simd_conv_cost(spec, src.out_chw[1], src.out_chw[2]);
+      return sim::simd_conv_cost(spec, src.out_chw[1], src.out_chw[2]);
     }
-    return batch > 1 ? sim::simd_bitserial_conv_cost_batched(spec, src.out_chw[1], src.out_chw[2],
-                                                             src.oq.bits, *ctx.lut, batch)
-                     : sim::simd_bitserial_conv_cost(spec, src.out_chw[1], src.out_chw[2],
-                                                     src.oq.bits, *ctx.lut);
+    return sim::simd_bitserial_conv_cost(spec, src.out_chw[1], src.out_chw[2], src.oq.bits,
+                                         *ctx.lut);
   }
 
   /// Like baseline_cost, but valid for unpooled layers too (no indices).
   static sim::CostCounter baseline_cost_for(const PassContext& ctx, const PlanNode& n,
-                                            const PlanNode& src, int batch = 1) {
+                                            const PlanNode& src) {
     if (n.op == nn::Op::kLinear) {
       const int fin = static_cast<int>(elems(src.out_chw));
-      const int fout = ctx.graph.node(n.graph_node).weight.dim(0);
-      return batch > 1 ? sim::baseline_linear_cost_batched(fin, fout, batch)
-                       : sim::baseline_linear_cost(fin, fout);
+      return sim::baseline_linear_cost(fin, ctx.graph.node(n.graph_node).weight.dim(0));
     }
     const nn::ConvSpec& spec = ctx.graph.node(n.graph_node).conv;
-    return batch > 1
-               ? sim::baseline_conv_cost_batched(spec, src.out_chw[1], src.out_chw[2], batch)
-               : sim::baseline_conv_cost(spec, src.out_chw[1], src.out_chw[2]);
+    return sim::baseline_conv_cost(spec, src.out_chw[1], src.out_chw[2]);
   }
 
   static sim::CostCounter variant_cost(const PassContext& ctx, const PlanNode& n,

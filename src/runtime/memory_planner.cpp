@@ -165,8 +165,7 @@ MemoryPlan MemoryPlanner::plan_host(const CompiledNetwork& net,
   for (std::size_t p = 0; p < net.plans.size(); ++p) {
     out_bytes[p] =
         net.plans[p].out_elems() * sizeof(int16_t) * static_cast<std::size_t>(batch);
-    scratch[p] = batch > 1 ? backends[p]->scratch_bytes_batch(net, net.plans[p], batch)
-                           : backends[p]->scratch_bytes(net, net.plans[p]);
+    scratch[p] = backends[p]->scratch_bytes(net, net.plans[p], batch);
   }
   return plan(net, out_bytes, scratch);
 }

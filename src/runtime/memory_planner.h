@@ -7,7 +7,9 @@
 // serves two sizing models:
 //
 //   plan_host — what the Executor actually allocates: activations stored as
-//     int16 elements plus each backend's self-reported scratch high-water.
+//     int16 elements, `batch` images per slot, plus the largest scratch
+//     bound any backend reports for a run of 1..batch images
+//     (KernelBackend::scratch_bytes).
 //   plan_mcu  — what a firmware deployment would place in SRAM: M-bit
 //     activations stored bit-packed, in-place techniques (rolling conv,
 //     accumulate-in-place add) applied where liveness proves them sound,
@@ -57,10 +59,10 @@ class MemoryPlanner {
 
   /// Plan the host Executor's arena: int16 activation slots + the resolved
   /// backends' scratch_bytes high-water. `backends` must parallel net.plans.
-  /// With `batch` > 1 every activation slot holds `batch` images laid out at
-  /// the per-image stride (plan.out_elems() elements) and scratch is sized
-  /// from scratch_bytes_batch — liveness and in-place logic are unchanged,
-  /// the slots just scale by the batch dimension.
+  /// Every activation slot holds `batch` images laid out at the per-image
+  /// stride (plan.out_elems() elements) and each backend's scratch bound
+  /// covers any run of 1..batch images — liveness and in-place logic are
+  /// unchanged, the slots just scale by the batch dimension.
   static MemoryPlan plan_host(const CompiledNetwork& net,
                               const std::vector<const KernelBackend*>& backends, int batch = 1);
 

@@ -54,13 +54,6 @@ struct CompileOptions {
   HostLaneSelect host_lanes = HostLaneSelect::kCostModel;
   /// Profile pricing the scalar-vs-SIMD lane decision (kCostModel lanes).
   sim::McuProfile host_profile = sim::host_profile();
-  /// Expected serving batch size the host lanes should be priced at. With a
-  /// hint > 1 the lane decision uses the *_cost_batched closed forms
-  /// (sim/layer_cost.h), which amortize the stationary operand across the
-  /// batch — this can flip a layer's lane when the per-image argmin and the
-  /// batched argmin disagree. Has no effect on numerics or on MCU latency
-  /// estimates; 1 preserves the per-image decision exactly.
-  int batch_hint = 1;
   /// Force one bit-serial variant for every pooled layer, linear included
   /// (ablations; all variants are bit-identical, they differ only in cost).
   bool force_variant = false;

@@ -27,36 +27,6 @@ void validate(const ModelConfig& config, const char* who) {
   check(config.weight >= 1, std::string(who) + ": priority weight must be >= 1");
 }
 
-/// Mirrors InputBackend's shape check (structural_backends.cpp) so a bad
-/// request can be rejected *before* the batch dispatches: under batched
-/// execution its neighbours ride one batched executor call undisturbed.
-/// Returns null when the image is a valid single CHW/1xCxHxW image of shape
-/// `want` (or when the compiled input shape is unknown — the executor then
-/// remains the authority).
-std::exception_ptr validate_image(const Tensor& img, const std::vector<int>& want) {
-  if (want.size() != 3) return nullptr;
-  int c = 0, h = 0, w = 0;
-  if (img.rank() == 3) {
-    c = img.dim(0);
-    h = img.dim(1);
-    w = img.dim(2);
-  } else if (img.rank() == 4 && img.dim(0) == 1) {
-    c = img.dim(1);
-    h = img.dim(2);
-    w = img.dim(3);
-  } else {
-    return std::make_exception_ptr(
-        std::invalid_argument("engine: input must be a single CHW image"));
-  }
-  if (c != want[0] || h != want[1] || w != want[2]) {
-    return std::make_exception_ptr(std::invalid_argument(
-        "engine: input image shape " + std::to_string(c) + "x" + std::to_string(h) + "x" +
-        std::to_string(w) + " does not match the network input " + std::to_string(want[0]) +
-        "x" + std::to_string(want[1]) + "x" + std::to_string(want[2])));
-  }
-  return nullptr;
-}
-
 void validate(const AutoscalerOptions& a, const char* who) {
   if (!a.enabled) return;
   check(a.min_workers >= 1, std::string(who) + ": autoscaler min_workers must be >= 1");
@@ -818,9 +788,9 @@ void InferenceServer::worker_main(int wid) {
       staged_req.clear();
       Clock::time_point latest_deadline = Clock::time_point::min();
       for (std::size_t i = 0; i < task.requests.size(); ++i) {
-        std::exception_ptr bad = validate_image(task.requests[i].image, m.input_chw);
-        if (bad != nullptr) {
-          outcomes[i].error = bad;
+        const std::string bad = input_shape_error(task.requests[i].image, m.input_chw);
+        if (!bad.empty()) {
+          outcomes[i].error = std::make_exception_ptr(std::invalid_argument(bad));
         } else {
           staging.push_back(std::move(task.requests[i].image));
           staged_req.push_back(i);

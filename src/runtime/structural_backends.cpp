@@ -1,6 +1,7 @@
 // Structural (non-arithmetic) backends: input quantization, flatten, relu.
 //
-// All three write straight into their arena output view; none needs scratch.
+// All three are per-image kernels (PerImageBackend loops a batch) that write
+// straight into their arena output view; none needs scratch.
 #include <algorithm>
 #include <cmath>
 
@@ -11,34 +12,21 @@ namespace bswp::runtime {
 namespace {
 
 /// Quantizes the raw float image into the input plan's int8 domain. Rejects
-/// anything that is not a single image of exactly the compiled CHW shape —
-/// a mismatched image would otherwise be read out of range by the first conv.
-class InputBackend : public KernelBackend {
+/// anything input_shape_error() rejects — a mismatched image would otherwise
+/// be read out of range by the first conv.
+class InputBackend : public PerImageBackend {
  public:
   const char* name() const override { return "structural/input"; }
-  void execute(const ExecContext& ctx) const override {
+
+ protected:
+  void execute_image(const ExecContext& ctx) const override {
     check(ctx.image != nullptr, "engine: input plan executed without an image");
     const Tensor& img = *ctx.image;
-    int c = 0, h = 0, w = 0;
-    if (img.rank() == 3) {
-      c = img.dim(0);
-      h = img.dim(1);
-      w = img.dim(2);
-    } else {
-      check(img.rank() == 4 && img.dim(0) == 1, "engine: input must be a single CHW image");
-      c = img.dim(1);
-      h = img.dim(2);
-      w = img.dim(3);
-    }
-    const std::vector<int>& want = ctx.plan.out_chw;
-    if (want.size() == 3 && (c != want[0] || h != want[1] || w != want[2])) {
-      throw std::invalid_argument(
-          "engine: input image shape " + std::to_string(c) + "x" + std::to_string(h) + "x" +
-          std::to_string(w) + " does not match the network input " + std::to_string(want[0]) +
-          "x" + std::to_string(want[1]) + "x" + std::to_string(want[2]));
-    }
+    const std::string error = input_shape_error(img, ctx.plan.out_chw);
+    if (!error.empty()) throw std::invalid_argument(error);
+    const int off = img.rank() - 3;  // skip the leading 1 of a 1xCxHxW image
     kernels::QView& out = *ctx.out;
-    out.set_shape({1, c, h, w});
+    out.set_shape({1, img.dim(off), img.dim(off + 1), img.dim(off + 2)});
     out.bits = 8;
     out.is_signed = true;
     out.scale = ctx.plan.out.scale;
@@ -50,10 +38,12 @@ class InputBackend : public KernelBackend {
   }
 };
 
-class FlattenBackend : public KernelBackend {
+class FlattenBackend : public PerImageBackend {
  public:
   const char* name() const override { return "structural/flatten"; }
-  void execute(const ExecContext& ctx) const override {
+
+ protected:
+  void execute_image(const ExecContext& ctx) const override {
     const kernels::QView& in = ctx.input(0);
     kernels::QView& out = *ctx.out;
     out.set_shape({1, static_cast<int>(in.size())});
@@ -62,10 +52,12 @@ class FlattenBackend : public KernelBackend {
   }
 };
 
-class ReluBackend : public KernelBackend {
+class ReluBackend : public PerImageBackend {
  public:
   const char* name() const override { return "structural/relu"; }
-  void execute(const ExecContext& ctx) const override {
+
+ protected:
+  void execute_image(const ExecContext& ctx) const override {
     const kernels::QView& in = ctx.input(0);
     kernels::QView& out = *ctx.out;
     out.rank = in.rank;
@@ -83,6 +75,21 @@ class ReluBackend : public KernelBackend {
 };
 
 }  // namespace
+
+std::string input_shape_error(const Tensor& image, const std::vector<int>& want_chw) {
+  const int off = image.rank() - 3;
+  if (off != 0 && !(off == 1 && image.dim(0) == 1)) {
+    return "engine: input must be a single CHW image";
+  }
+  const int c = image.dim(off), h = image.dim(off + 1), w = image.dim(off + 2);
+  if (want_chw.size() == 3 && (c != want_chw[0] || h != want_chw[1] || w != want_chw[2])) {
+    return "engine: input image shape " + std::to_string(c) + "x" + std::to_string(h) + "x" +
+           std::to_string(w) + " does not match the network input " +
+           std::to_string(want_chw[0]) + "x" + std::to_string(want_chw[1]) + "x" +
+           std::to_string(want_chw[2]);
+  }
+  return {};
+}
 
 namespace detail {
 

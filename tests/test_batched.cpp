@@ -1,9 +1,11 @@
 // Batched execution tests: batch-N bit-identity against N sequential runs
-// across the whole model zoo (act_bits {4, 8}, both host lanes, odd batch
-// sizes), CostCounter batch-invariance (a batched run tallies exactly N x
-// the per-image counts, so MCU latency estimates never depend on serving
-// batch size), the zero-heap-allocation guarantee of the warm batched path,
-// the XNOR batched core, and Session::run_batch's chunked parallel-for.
+// across the whole model zoo (act_bits {2, 4, 8}, both host lanes, batch
+// sizes on both sides of the SIMD bit-serial core split, odd ones
+// included), CostCounter batch-invariance (a batched run tallies exactly
+// N x the per-image counts, so MCU latency estimates never depend on
+// serving batch size), the zero-heap-allocation guarantee of the warm
+// batched path, the XNOR backend over a batch, and Session::run_batch's
+// chunked parallel-for.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -75,16 +77,18 @@ bswp::Deployment make_deployment(ZooCase& c) {
 // --- batch-N bit-identity across the zoo -------------------------------------
 
 TEST(BatchedExecutor, ZooBatchBitIdenticalToSequentialAcrossLanesAndBits) {
-  // For every paper network, both act_bits and both host lanes: one
+  // For every paper network, three act_bits and both host lanes: one
   // run_batch_view over N images must produce byte-identical logits to N
-  // run_view calls on a separate executor, at batch sizes 1 (the delegation
-  // path), 3 (odd partial batch) and 8 (the planned max).
+  // run_view calls on a separate executor, at batch sizes 1 (the SIMD
+  // bit-serial per-image core), 2 (the smallest batch on its batched core),
+  // 3 (odd partial batch) and 8 (the planned max). act_bits 2 is the low
+  // end of the bitwidth trade, the one bench/e2e's serve_overload serves.
   constexpr int kMaxBatch = 8;
   uint64_t seed = 4321;
   for (const models::NamedModel& m : models::paper_models()) {
     ZooCase c = make_case(m, seed++, kMaxBatch);
     bswp::Deployment dep = make_deployment(c);
-    for (int bits : {4, 8}) {
+    for (int bits : {2, 4, 8}) {
       for (HostLaneSelect lanes : {HostLaneSelect::kScalar, HostLaneSelect::kSimd}) {
         bswp::Session s = dep.act_bits(bits).host_lanes(lanes).compile();
         Executor seq(s.network());
@@ -92,7 +96,7 @@ TEST(BatchedExecutor, ZooBatchBitIdenticalToSequentialAcrossLanesAndBits) {
         for (const Tensor& x : c.images) ref.push_back(seq.run(x));
 
         Executor batched(s.network(), kMaxBatch);
-        for (int n : {1, 3, kMaxBatch}) {
+        for (int n : {1, 2, 3, kMaxBatch}) {
           batched.run_batch_view(std::span<const Tensor>(c.images.data(),
                                                          static_cast<std::size_t>(n)));
           for (int i = 0; i < n; ++i) {
@@ -176,11 +180,11 @@ TEST(BatchedExecutor, RejectsOversizedBatch) {
                std::exception);
 }
 
-// --- XNOR batched core -------------------------------------------------------
+// --- XNOR backend over a batch ----------------------------------------------
 
 /// Hand-built two-plan network (quantized input -> binarized conv), the
 /// test_registry idiom: the zoo compile path never emits kConvBinary, so the
-/// batched XNOR core is exercised directly.
+/// XNOR backend's batch loop is exercised directly.
 CompiledNetwork binary_net(const Tensor& w, const nn::ConvSpec& spec) {
   CompiledNetwork net;
   LayerPlan input;

@@ -94,8 +94,9 @@ TEST(Registry, CustomBackendExecutesThroughEngine) {
       ++calls;
       inner->execute(ctx);
     }
-    std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const override {
-      return inner->scratch_bytes(net, plan);
+    std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan,
+                              int batch) const override {
+      return inner->scratch_bytes(net, plan, batch);
     }
   };
 

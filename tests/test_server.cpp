@@ -15,6 +15,8 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -1056,27 +1058,48 @@ TEST(InferenceServer, BatchOfOneAndBatchOfFourDispatchBitIdentical) {
   }
 }
 
+/// The std::invalid_argument message `f` fails with ("" when it does not).
+std::string invalid_argument_message(std::future<QTensor>& f) {
+  try {
+    f.get();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(InferenceServer, BadShapeRejectedBeforeBatching) {
   // Pre-dispatch validation: a wrong-shape request must fail its own future
-  // (same error as the engine's) while its batch neighbours ride the single
+  // with the engine's exact error while its batch neighbours ride the single
   // batched executor call.
   SmallModel& m = small_model();
   InferenceServer server(quick_options(/*workers=*/1, /*max_batch=*/8, 50ms));
   server.register_model("m", m.session.network());
 
+  const std::vector<Tensor> bad = {Tensor({5, 16, 16}, 0.1f),     // wrong channel count
+                                   Tensor({2, 3, 16, 16}, 0.1f),  // two images, not one
+                                   Tensor({3, 256}, 0.1f)};       // rank 2
   std::future<QTensor> good0 = server.submit("m", m.images[0]);
-  std::future<QTensor> bad_shape = server.submit("m", Tensor({5, 16, 16}, 0.1f));
-  std::future<QTensor> bad_rank = server.submit("m", Tensor({2, 3, 16, 16}, 0.1f));
+  std::vector<std::future<QTensor>> bad_futs;
+  for (const Tensor& x : bad) bad_futs.push_back(server.submit("m", x));
   std::future<QTensor> good1 = server.submit("m", m.images[1]);
   server.drain();
 
   EXPECT_EQ(good0.get().data, m.refs[0].data);
-  EXPECT_THROW(bad_shape.get(), std::invalid_argument);
-  EXPECT_THROW(bad_rank.get(), std::invalid_argument);
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    std::string engine_error;
+    try {
+      m.session.run(bad[i]);
+    } catch (const std::invalid_argument& e) {
+      engine_error = e.what();
+    }
+    ASSERT_FALSE(engine_error.empty()) << "Session::run accepted bad input " << i;
+    EXPECT_EQ(invalid_argument_message(bad_futs[i]), engine_error) << "bad input " << i;
+  }
   EXPECT_EQ(good1.get().data, m.refs[1].data);
   const ModelStats s = server.model_stats("m");
   EXPECT_EQ(s.admission.completed, 2u);
-  EXPECT_EQ(s.admission.failed, 2u);
+  EXPECT_EQ(s.admission.failed, 3u);
   // Only the two valid requests executed, so only they record exec samples.
   EXPECT_EQ(s.exec_latency.count, 2u);
 
@@ -1089,7 +1112,7 @@ TEST(InferenceServer, BadShapeRejectedBeforeBatching) {
   server.drain();  // counters settle after the futures resolve
   EXPECT_EQ(after.get().data, m.refs[2].data);
   const ModelStats t = server.model_stats("m");
-  EXPECT_EQ(t.admission.failed, 3u);
+  EXPECT_EQ(t.admission.failed, 4u);
   EXPECT_EQ(t.admission.completed, 3u);
 }
 

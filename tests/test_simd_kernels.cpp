@@ -151,13 +151,14 @@ TEST(SimdKernels, BitSerialConvIdenticalForEveryVariantOrderAndBitwidth) {
       PooledFixture f(16, 13, act_bits, order, 21);
       const int oh = f.spec.out_h(7), ow = f.spec.out_w(6);
       for (BitSerialVariant v : kAllVariants) {
-        QTensor out_s({1, 13, oh, ow}, 8, false), out_v = out_s;
-        QView in = QView::of(f.input), vs = QView::of(out_s), vv = QView::of(out_v);
+        QTensor out_v({1, 13, oh, ow}, 8, false);
+        QView vv = QView::of(out_v);
         sim::CostCounter cs, cv;
-        ScratchArena ss(kernels::bitserial_host_scratch_bytes(13, f.lut.pool_size, 8));
         ScratchArena sv(simd::simd_bitserial_scratch_bytes(13, f.lut.pool_size, 8));
-        kernels::bitserial_conv2d(in, f.indices, f.lut, f.spec, f.rq, v, vs, ss, &cs);
-        simd::simd_bitserial_conv2d(in, f.indices, f.lut, f.spec, f.rq, v, vv, sv, &cv);
+        const QTensor out_s =
+            kernels::bitserial_conv2d(f.input, f.indices, f.lut, f.spec, f.rq, v, &cs);
+        simd::simd_bitserial_conv2d(QView::of(f.input), f.indices, f.lut, f.spec, f.rq, v, vv, sv,
+                                    &cv);
         const std::string what = std::string("bitserial conv variant ") +
                                  kernels::variant_name(v) + " bits " +
                                  std::to_string(act_bits);
@@ -194,13 +195,12 @@ TEST(SimdKernels, BitSerialLinearIdentical) {
     const kernels::Requant rq = kernels::Requant::uniform(fout, 1e-4f, {}, 0.01f, 8, true, false);
 
     for (BitSerialVariant v : kAllVariants) {
-      QTensor out_s({1, fout}, 8, true), out_v = out_s;
-      QView in = QView::of(input), vs = QView::of(out_s), vv = QView::of(out_v);
+      QTensor out_v({1, fout}, 8, true);
+      QView vv = QView::of(out_v);
       sim::CostCounter cs, cv;
-      ScratchArena ss(kernels::bitserial_host_scratch_bytes(fout, lut.pool_size, 8));
       ScratchArena sv(simd::simd_bitserial_scratch_bytes(fout, lut.pool_size, 8));
-      kernels::bitserial_linear(in, indices, lut, rq, v, vs, ss, &cs);
-      simd::simd_bitserial_linear(in, indices, lut, rq, v, vv, sv, &cv);
+      const QTensor out_s = kernels::bitserial_linear(input, indices, lut, rq, v, &cs);
+      simd::simd_bitserial_linear(QView::of(input), indices, lut, rq, v, vv, sv, &cv);
       EXPECT_EQ(out_s.data, out_v.data) << kernels::variant_name(v);
       expect_counters_equal(cs, cv, std::string("bitserial linear ") + kernels::variant_name(v));
     }

@@ -16,22 +16,21 @@
 //     saturation, achieved plateaus at capacity, queues fill, latency is
 //     dominated by queueing and shedding begins.
 //
-//  2. Skewed load, scheduling-policy sweep: one hot model (weight 8, 50% of
-//     the traffic) and three cold registrations of the same ResNet-s
-//     (weight 1 — identical batch cost isolates the scheduling policy) at
-//     1.15x the pool's *measured* saturated throughput (two workers share
-//     memory bandwidth, so capacity is probed with a closed-loop run, not
-//     extrapolated from one executor), under plain round-robin and under
-//     weighted deficit round-robin. The overload backlog has to land on
-//     *some* queue. Round-robin serves the cold models promptly (their
-//     demand is far below an equal share), so the hot model absorbs the
-//     entire backlog: its queue pins at capacity, it sheds, and its p99 is
-//     queueing-dominated. The weighted scheduler grants the hot model
-//     8/11 ≈ 73% of slots — comfortably above its ~58% share of demand —
-//     so the hot queue stays short (p99 drops severalfold) and the overload
-//     lands on the cold queues instead, which is the declared priority
-//     tradeoff: cold models run slower and shed some, but — one guaranteed
-//     batch credit per cycle — never starve. Latency/counter columns are a
+//  2. Skewed load, weight sweep: one hot model (50% of the traffic) and
+//     three cold registrations of the same ResNet-s (weight 1 — identical
+//     batch cost isolates the scheduling) at 1.15x the pool's *measured*
+//     saturated throughput (two workers share memory bandwidth, so capacity
+//     is probed with a closed-loop run, not extrapolated from one executor),
+//     with the hot model at equal weight 1 and at weight 8. The overload
+//     backlog has to land on *some* queue. With equal weights every ready
+//     model gets one batch per cycle; the cold models' demand is far below
+//     an equal share, so the hot model absorbs the backlog: its queue runs
+//     long, it may shed, and its p99 is queueing-dominated. Weight 8
+//     grants the hot model 8/11 ≈ 73% of slots — comfortably above its ~58%
+//     share of demand — so the hot queue stays short and the overload lands
+//     on the cold queues instead, which is the declared priority tradeoff:
+//     cold models run slower and shed some, but — one guaranteed batch
+//     credit per cycle — never starve. Latency/counter columns are a
 //     steady-state snapshot taken when arrivals end, so the final drain
 //     does not smear the percentiles.
 //
@@ -133,15 +132,15 @@ void print_row(int workers, double offered_ips, microseconds deadline, const Loa
               s.mean_batch_size, s.latency.p50_us, s.latency.p99_us);
 }
 
-/// Section 2: skewed load under one scheduling policy. One hot model at
-/// `hot_frac` of the offered stream plus `n_cold` cold models evenly
-/// splitting the rest, all on one 2-worker server with kShedOldest queues.
-LoadResult run_skewed(bswp::Session& hot, bswp::Session& cold, int n_cold,
-                      runtime::SchedulePolicy policy, int hot_weight, double offered_ips,
-                      double hot_frac, int n, std::span<const Tensor> images) {
+/// Section 2: skewed load at one hot-model weight. One hot model at
+/// `hot_frac` of the offered stream plus `n_cold` weight-1 cold models
+/// evenly splitting the rest, all on one 2-worker server with kShedOldest
+/// queues.
+LoadResult run_skewed(bswp::Session& hot, bswp::Session& cold, int n_cold, int hot_weight,
+                      double offered_ips, double hot_frac, int n,
+                      std::span<const Tensor> images) {
   runtime::ServerOptions so;
   so.workers = 2;
-  so.schedule = policy;
   so.batching.max_batch = 8;
   so.batching.max_delay = microseconds{1000};
   so.queue.capacity = 64;
@@ -205,7 +204,7 @@ LoadResult run_skewed(bswp::Session& hot, bswp::Session& cold, int n_cold,
   return r;
 }
 
-void print_skewed_row(const char* policy, const LoadResult& r) {
+void print_skewed_row(const char* label, const LoadResult& r) {
   const auto& models = r.stats.models;
   const runtime::ModelStats& hot = models[0];
   std::uint64_t cold_done = 0, cold_shed = 0;
@@ -215,7 +214,7 @@ void print_skewed_row(const char* policy, const LoadResult& r) {
     cold_shed += models[i].admission.shed;
     cold_p99 = std::max(cold_p99, models[i].latency.p99_us);
   }
-  std::printf("%-12s %8llu %8llu %5.2f %9.0f %9.0f | %9llu %9llu %11.0f\n", policy,
+  std::printf("%-12s %8llu %8llu %5.2f %9.0f %9.0f | %9llu %9llu %11.0f\n", label,
               static_cast<unsigned long long>(hot.admission.completed),
               static_cast<unsigned long long>(hot.admission.shed), hot.dispatch_share,
               hot.latency.p50_us, hot.latency.p99_us,
@@ -376,7 +375,7 @@ int run_bench() {
     jw.add(prefix + "mean_batch", r.stats.mean_batch_size);
   }
 
-  // --- Section 2: skewed load, scheduling-policy sweep ----------------------
+  // --- Section 2: skewed load, weight sweep ---------------------------------
   // One hot registration (50% of requests, weight 8) + three cold
   // registrations (weight 1) of the same ResNet-s, offered at 1.15x the
   // pool's measured saturated throughput so every comparison runs with a
@@ -409,24 +408,22 @@ int run_bench() {
   const double skew_offered = 1.15 * cap_2w;
   const int n_skew = smoke_scaled(900, 32);
 
-  std::printf("\nbench_server: skewed load — 1 hot (%.0f%% of traffic, weight 8) + "
+  std::printf("\nbench_server: skewed load — 1 hot (%.0f%% of traffic, weight 1 or 8) + "
               "%d cold (weight 1), all ResNet-s, 2 workers, measured capacity %.0f/s, "
               "offered %.0f/s (1.15x)\n",
               100.0 * hot_frac, n_cold, cap_2w, skew_offered);
-  std::printf("%-12s %8s %8s %5s %9s %9s | %9s %9s %11s\n", "policy", "hot done", "hot shed",
+  std::printf("%-12s %8s %8s %5s %9s %9s | %9s %9s %11s\n", "weights", "hot done", "hot shed",
               "share", "hot p50", "hot p99", "cold done", "cold shed", "cold p99max");
-  const LoadResult rr =
-      run_skewed(resnet, resnet, n_cold, runtime::SchedulePolicy::kRoundRobin,
-                 /*hot_weight=*/8, skew_offered, hot_frac, n_skew, images);
-  print_skewed_row("round-robin", rr);
-  const LoadResult wd =
-      run_skewed(resnet, resnet, n_cold, runtime::SchedulePolicy::kWeightedDeficit,
-                 /*hot_weight=*/8, skew_offered, hot_frac, n_skew, images);
-  print_skewed_row("weighted", wd);
+  const LoadResult equal = run_skewed(resnet, resnet, n_cold, /*hot_weight=*/1, skew_offered,
+                                      hot_frac, n_skew, images);
+  print_skewed_row("equal", equal);
+  const LoadResult wd = run_skewed(resnet, resnet, n_cold, /*hot_weight=*/8, skew_offered,
+                                   hot_frac, n_skew, images);
+  print_skewed_row("hot weight 8", wd);
   jw.add("capacity_2w_per_s", cap_2w);
-  jw.add("skew_rr_hot_p99_us", rr.stats.models[0].latency.p99_us);
+  jw.add("skew_equal_hot_p99_us", equal.stats.models[0].latency.p99_us);
   jw.add("skew_wd_hot_p99_us", wd.stats.models[0].latency.p99_us);
-  jw.add("skew_rr_hot_completed", rr.stats.models[0].admission.completed);
+  jw.add("skew_equal_hot_completed", equal.stats.models[0].admission.completed);
   jw.add("skew_wd_hot_completed", wd.stats.models[0].admission.completed);
 
   // --- Section 3: autoscaler load step --------------------------------------

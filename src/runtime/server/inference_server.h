@@ -12,7 +12,8 @@
 //   register_model(...)  adds a queue + priority weight        │
 //                                                              ▼
 //                        pick model: weighted deficit round-robin
-//                        (or plain round-robin), max_batch/deadline
+//                        (up to ModelConfig::weight batches per cycle),
+//                        max_batch/deadline
 //                                                              │
 //                        pick worker: prefer one whose executor
 //                        cache is already warm for the model   │
@@ -23,15 +24,23 @@
 //
 // Batching: a model's batch closes when `max_batch` requests are queued or
 // the oldest has waited `max_delay`, whichever is first. Ready models are
-// drained by SchedulePolicy — weighted deficit round-robin by default, where
-// ModelConfig::weight is the model's batch-credit grant per scheduling cycle,
-// so a hot model gets proportionally more dispatch slots while a weight-1
-// model still dispatches every cycle (never starves). Within one model's
-// queue, RequestClass::kHigh requests dispatch before kNormal ones. The
-// scheduler only dispatches while a live worker is free — when all are busy,
-// requests back up in the bounded per-model queues, which is where
-// backpressure (QueuePolicy::{kBlock, kReject, kShedOldest}) engages and
-// what the autoscaler reads as its grow signal.
+// drained by weighted deficit round-robin, where ModelConfig::weight is the
+// model's batch-credit grant per scheduling cycle, so a hot model gets
+// proportionally more dispatch slots while a weight-1 model still dispatches
+// every cycle (never starves). Within one model's queue, RequestClass::kHigh
+// requests dispatch before kNormal ones. The scheduler only dispatches while
+// a live worker is free — when all are busy, requests back up in the bounded
+// per-model queues, which is where backpressure
+// (QueuePolicy::{kBlock, kReject, kShedOldest}) engages and what the
+// autoscaler reads as its grow signal.
+//
+// Every one of those decisions is made by runtime::Scheduler
+// (scheduler.h), a single-threaded state machine that owns all scheduling
+// state and takes the time as an argument. This class is the shell around
+// it: the scheduler thread, the worker threads, the lock and condition
+// variables, the per-worker executor caches, CancelToken arming, promise
+// fulfilment and the latency windows. Under its lock it calls the
+// Scheduler and applies what comes back.
 //
 // Results: submit() returns a std::future<QTensor> fulfilled with logits
 // bit-identical to Session::run / Executor::run for the same image (the
@@ -51,17 +60,18 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/compressed_network.h"
 #include "runtime/server/options.h"
+#include "runtime/server/scheduler.h"
 #include "runtime/server/stats.h"
 
 namespace bswp::runtime {
@@ -142,8 +152,10 @@ class InferenceServer {
   /// latency window and autoscaler event counter (e.g. after warm-up,
   /// before a measured run); peak_workers restarts from the current live
   /// count. Queued/in-flight requests are unaffected and will count against
-  /// the fresh counters on completion. The live worker count itself is
-  /// not changed.
+  /// the fresh counters on completion. Control state is not touched: the
+  /// live worker count, the autoscaler's latency EWMA and streaks, the cost
+  /// calibration and the sticky keys carry on, so a reset never delays a
+  /// scale event.
   void reset_stats();
 
   /// Live (dispatch-eligible) workers right now; moves between
@@ -154,51 +166,19 @@ class InferenceServer {
   /// The cluster front door (runtime/frontdoor/) polls this to route around
   /// a stopped shard without burning a request to find out.
   bool accepting() const;
-  /// Queued requests across all models right now — a cheap load signal for
-  /// routing tiers (no latency-window copy, unlike stats()).
-  std::size_t queued_total() const;
 
  private:
-  struct Request;
-  struct ModelState;
-  struct BatchTask;
-  struct WorkerState;
+  struct Model;
 
   void scheduler_main();
   void worker_main(int wid);
-  /// Policy-aware model selection: the ready model the scheduler should
-  /// dispatch next, or null. Fills `next_deadline` with the earliest
-  /// batching OR request deadline among queued requests. Expired-deadline
-  /// requests are purged (futures failed) as a side effect. Lock held.
-  ModelState* select_model_locked(std::chrono::steady_clock::time_point now,
-                                  std::chrono::steady_clock::time_point* next_deadline);
-  /// Purge requests whose SubmitOptions::deadline is unmeetable: elapsed in
-  /// queue, or with less slack left than the model's (calibrated)
-  /// execution estimate, so dispatching them
-  /// would only waste a worker. Fails their futures with kDeadlineExpired.
-  /// Feeds the earliest surviving effective deadline (deadline minus the
-  /// execution estimate) into `next_deadline`. Lock held.
-  void expire_deadlines_locked(ModelState& m, std::chrono::steady_clock::time_point now,
-                               std::chrono::steady_clock::time_point* next_deadline);
-  /// The model's calibrated whole-network execution estimate, as a clock
-  /// duration (zero when profiling failed for the model).
-  /// Lock held (reads the calibration EWMA).
-  std::chrono::steady_clock::duration exec_estimate_locked(const ModelState& m) const;
-  /// Free live worker for `m`, preferring (1) the sticky worker of the next
-  /// request's affinity key, (2) a warm executor (affinity hit); -1 when
-  /// every live worker is occupied. Lock held.
-  int select_worker_locked(const ModelState& m, bool* hit, bool* session_hit) const;
-  /// Pop up to max_batch requests from `m` (kHigh first) into worker
-  /// `wid`'s dispatch slot; records keyed requests' sticky workers. Lock
-  /// held.
-  void dispatch_locked(ModelState& m, int wid, bool affinity_hit, bool session_hit);
-  /// One autoscaler evaluation: maybe move live_workers_ by one. Lock held.
-  void autoscale_locked(std::chrono::steady_clock::time_point now);
-  bool queues_empty_locked() const;
-  bool workers_quiescent_locked() const;  // no pending slot, none busy
-  /// Everything except the latency summary, which the caller computes from
-  /// the copied-out sample window after releasing mu_.
-  ModelStats snapshot_locked(const ModelState& m) const;
+  /// Index of `model_id` in models_ (== its Scheduler index). Throws
+  /// std::invalid_argument naming `who` for an unknown id. Lock held.
+  int find_locked(const std::string& model_id, const char* who) const;
+  /// End-to-end and executor latency summaries of one pair of windows:
+  /// copied under stats_mu_, sorted unlocked. Call without mu_.
+  std::pair<LatencySummary, LatencySummary> summarize(const LatencyRecorder& latency,
+                                                      const LatencyRecorder& exec_latency) const;
 
   ServerOptions options_;
   /// Resolved time source: options_.clock, or the process steady clock.
@@ -206,7 +186,7 @@ class InferenceServer {
   const Clock* clock_ = nullptr;
 
   std::mutex lifecycle_mu_;  // serializes shutdown()/destructor
-  mutable std::mutex mu_;    // queues, dispatch, counters, lifecycle
+  mutable std::mutex mu_;    // the Scheduler, models_, lifecycle flags
   // Latency sample windows live behind their own lock so a stats() poll
   // copying them (up to latency_window doubles per model) never blocks
   // submit or the scheduler on mu_. Discipline: stats_mu_ is NEVER held
@@ -216,37 +196,21 @@ class InferenceServer {
   std::condition_variable space_cv_;  // kBlock submitters: queue space
   std::condition_variable idle_cv_;   // drain/shutdown: server went idle
 
-  // Registration order drives the round-robin cursor; lookup is a linear
-  // scan, which is fine for the handful of models a server realistically
-  // hosts. ModelState addresses are stable (unique_ptr) — workers key
-  // executor caches and in-flight batches by pointer.
-  std::vector<std::unique_ptr<ModelState>> models_;
-  std::size_t rr_ = 0;  // scan cursor into models_ (both policies)
+  /// Every scheduling decision and the state behind it. Guarded by mu_.
+  Scheduler sched_;
+  /// The scheduler thread's reused decision buffers. Guarded by mu_.
+  Scheduler::Step step_;
+  // Registration order == Scheduler model index; lookup is a linear scan,
+  // which is fine for the handful of models a server realistically hosts.
+  // Model addresses are stable (unique_ptr): workers and stats() use them
+  // outside mu_.
+  std::vector<std::unique_ptr<Model>> models_;
+  // One per worker thread (index == thread id == Scheduler worker), so a
+  // dispatch wakes exactly the worker it placed a batch on.
+  std::vector<std::condition_variable> worker_cv_;
 
-  // One state per worker thread; index == thread id. Each has its own
-  // dispatch slot and condition variable, so the scheduler wakes exactly
-  // the worker it placed a batch on.
-  std::vector<std::unique_ptr<WorkerState>> worker_state_;
-  int live_workers_ = 0;   // workers [0, live_workers_) are dispatch-eligible
-  int peak_workers_ = 0;   // high-water mark of live_workers_
-  std::uint64_t scale_ups_ = 0;
-  std::uint64_t scale_downs_ = 0;
-  std::uint64_t autoscale_evals_ = 0;
-  std::uint64_t evicted_executors_ = 0;  // executors dropped by eviction
-  int up_streak_ = 0;      // consecutive pressure evaluations (hysteresis)
-  int down_streak_ = 0;    // consecutive idle evaluations (hysteresis)
-  std::chrono::steady_clock::time_point last_scale_;
-  std::chrono::steady_clock::time_point next_eval_;
-  // Server-wide EWMA of end-to-end request latency (µs), the autoscaler's
-  // optional latency signal. Updated by workers under mu_ (cheap), unlike
-  // the percentile windows behind stats_mu_.
-  double lat_ewma_us_ = 0.0;
-  bool lat_ewma_valid_ = false;
-
-  int busy_workers_ = 0;
   bool accepting_ = true;
-  bool flush_ = false;        // drain/shutdown: ignore batching deadlines
-  int drain_waiters_ = 0;     // flush_ stays set while any drain() waits
+  int drain_waiters_ = 0;  // the flush stays on while any drain() waits
   bool stop_threads_ = false;
   bool joined_ = false;
 

@@ -1,7 +1,7 @@
 // Configuration for the async inference server: how batches are formed, how
-// dispatch slots are shared between models (priority), what happens when a
-// model's request queue is full (backpressure), and how the live worker count
-// tracks load (autoscaling).
+// dispatch slots are shared between models (priority weights), what happens
+// when a model's request queue is full (backpressure), and how the live
+// worker count tracks load (autoscaling).
 //
 // Every option here has a stated default and a stated interaction with its
 // neighbours; docs/serving.md is the prose companion (semantics + tuning
@@ -53,25 +53,6 @@ struct QueueOptions {
   QueuePolicy policy = QueuePolicy::kBlock;
 };
 
-/// How the scheduler divides batch slots between models that are ready to
-/// dispatch at the same time.
-enum class SchedulePolicy {
-  /// One batch per ready model per turn, in registration order. Every model
-  /// gets an equal share of dispatch slots regardless of its traffic, so a
-  /// hot model queues behind its own backlog while cold models idle.
-  kRoundRobin,
-  /// Weighted deficit round-robin over `ModelConfig::weight` (the default).
-  /// Each scheduling cycle grants every model `weight` batch credits; ready
-  /// models spend one credit per dispatched batch and the cycle ends when no
-  /// ready model has credits left, so sustained dispatch shares converge to
-  /// weight_i / sum(weights). Unused credits do not accumulate across cycles
-  /// (no banked bursts), and every model with a non-empty queue receives
-  /// credits every cycle — a weight-1 model can be slowed but never starved.
-  /// With all weights equal (the default) this degenerates to fair
-  /// round-robin.
-  kWeightedDeficit,
-};
-
 /// Per-request priority class, within one model's queue.
 enum class RequestClass {
   kNormal,  // FIFO order (default)
@@ -79,7 +60,7 @@ enum class RequestClass {
   /// among kHigh). Under QueuePolicy::kShedOldest, kNormal requests are
   /// evicted first; when no kNormal request is queued, the oldest kHigh
   /// request is shed. Cross-model ordering is the scheduler's business
-  /// (SchedulePolicy / ModelConfig::weight), not RequestClass's.
+  /// (ModelConfig::weight), not RequestClass's.
   kHigh,
 };
 
@@ -186,10 +167,17 @@ struct AutoscalerOptions {
 struct ModelConfig {
   BatchingPolicy batching;
   QueueOptions queue;
-  /// Relative dispatch share under SchedulePolicy::kWeightedDeficit
-  /// (default 1, must be >= 1): batch credits granted per scheduling cycle.
-  /// A weight-8 model next to three weight-1 models receives up to 8 of
-  /// every 11 batch slots under saturation. Ignored by kRoundRobin.
+  /// Relative dispatch share (default 1, must be >= 1): batch credits
+  /// granted per scheduling cycle of the weighted deficit round-robin that
+  /// divides batch slots between ready models. Each cycle grants every model
+  /// `weight` credits; ready models spend one per dispatched batch and the
+  /// cycle ends when no ready model has credits left, so sustained dispatch
+  /// shares converge to weight_i / sum(weights). Unused credits do not
+  /// accumulate across cycles (no banked bursts), and every model with a
+  /// non-empty queue receives credits every cycle — a weight-1 model can be
+  /// slowed but never starved. A weight-8 model next to three weight-1
+  /// models receives up to 8 of every 11 batch slots under saturation. With
+  /// all weights equal, every ready model gets one batch per cycle.
   int weight = 1;
 };
 
@@ -201,9 +189,6 @@ struct ServerOptions {
   /// the autoscaler enabled this is the *initial* live count, clamped into
   /// [min_workers, max_workers].
   int workers = 2;
-  /// Cross-model dispatch order (default kWeightedDeficit, which equals
-  /// fair round-robin until a ModelConfig::weight is raised above 1).
-  SchedulePolicy schedule = SchedulePolicy::kWeightedDeficit;
   /// Defaults for models registered without an explicit ModelConfig.
   BatchingPolicy batching;
   QueueOptions queue;

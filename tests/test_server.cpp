@@ -475,7 +475,6 @@ TEST(InferenceServer, WeightedSchedulingNeverStarvesColdModelUnderHotSaturation)
 TEST(InferenceServer, RoundRobinPolicyStillServesAllModels) {
   SmallModel& m = small_model();
   ServerOptions so = quick_options(/*workers=*/2, /*max_batch=*/4, 500us);
-  so.schedule = SchedulePolicy::kRoundRobin;
   InferenceServer server(so);
   server.register_model("a", m.session.network());
   server.register_model("b", m.session.network());

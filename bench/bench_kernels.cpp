@@ -7,14 +7,20 @@
 //   1. kernel micro-benchmarks — the int8 conv/linear cores, the bit-serial
 //      LUT accumulate and the XNOR popcount core, scalar vs SIMD on
 //      identical buffers (outputs are asserted byte-identical);
-//   2. end-to-end — each network compiled twice, HostLaneSelect::kScalar vs
-//      the default cost-model lane selection, timed through a warm arena
-//      Executor (the engine under Session::run);
-//   3. serving — the InferenceServer fed the same request stream with both
-//      builds.
+//   2. end-to-end — each network compiled three ways, forced
+//      HostLaneSelect::kScalar, forced kSimd and the default kAuto lane rule,
+//      timed through a warm arena Executor (the engine under Session::run).
+//      `e2e_<net>_auto_over_best` is the kAuto time over the faster forced
+//      lane: the rule's evidence, re-runnable. Outside smoke mode the nets
+//      include MobileNet-v2 and a weight-oriented ResNet-s, the two cases
+//      where the rule keeps layers scalar;
+//   3. serving — the InferenceServer fed the same request stream with the
+//      forced-scalar and the kAuto builds.
 //
 // Emits BENCH_kernels.json (bench::JsonWriter) for scripts/bench_compare.sh:
-// `*_us` keys are lower-is-better, `*_speedup` / `*_ips` higher-is-better.
+// `*_us` and `*_over_best` keys are lower-is-better, `*_speedup` / `*_ips`
+// higher-is-better.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -205,14 +211,14 @@ void micro_benchmarks(JsonWriter& jw) {
 
 struct NetUnderTest {
   std::string key;
-  Session scalar;   // HostLaneSelect::kScalar
-  Session fast;     // default cost-model lane selection
-  int simd_lanes;   // layers the cost model put on the SIMD lane
+  Session scalar;  // HostLaneSelect::kScalar
+  Session simd;    // HostLaneSelect::kSimd
+  Session rule;    // HostLaneSelect::kAuto, the default
   std::vector<Tensor> images;
 };
 
 NetUnderTest build_net(const std::string& key, nn::Graph (*build)(const models::ModelOptions&),
-                       bool on_cifar) {
+                       bool on_cifar, pool::LutOrder order = pool::LutOrder::kInputOriented) {
   BenchDataset d = on_cifar ? cifar_like() : quickdraw_like();
   d.model_opts.width = 0.5f;
   nn::Graph graph = build(d.model_opts);
@@ -228,14 +234,12 @@ NetUnderTest build_net(const std::string& key, nn::Graph (*build)(const models::
   Deployment dep = Deployment::from(graph)
                        .with_pool(co)
                        .seed_batchnorm(16)
-                       .calibrate(*d.train, qo);
+                       .calibrate(*d.train, qo)
+                       .lut_order(order);
 
   Session scalar = dep.host_lanes(runtime::HostLaneSelect::kScalar).compile();
-  Session fast = dep.host_lanes(runtime::HostLaneSelect::kCostModel).compile();
-  int simd_lanes = 0;
-  for (const runtime::LaneChoice& l : dep.compile_report().lane_choices) {
-    if (l.lane == runtime::HostLane::kSimd) ++simd_lanes;
-  }
+  Session simd = dep.host_lanes(runtime::HostLaneSelect::kSimd).compile();
+  Session rule = dep.host_lanes(runtime::HostLaneSelect::kAuto).compile();
 
   std::vector<Tensor> images;
   const int n = smoke_scaled(24, 6);
@@ -244,28 +248,52 @@ NetUnderTest build_net(const std::string& key, nn::Graph (*build)(const models::
     d.train->sample(i % d.train->size(), x.data());
     images.push_back(std::move(x));
   }
-  return {key, std::move(scalar), std::move(fast), simd_lanes, std::move(images)};
+  return {key, std::move(scalar), std::move(simd), std::move(rule), std::move(images)};
 }
 
 void end_to_end(JsonWriter& jw, std::vector<NetUnderTest>& nets) {
-  print_header("2. end-to-end: Session execution, scalar vs cost-model lanes");
+  print_header("2. end-to-end: Session execution, forced scalar / forced SIMD / kAuto lanes");
   for (NetUnderTest& n : nets) {
     // Bit-identity across lanes is the contract the tests pin; assert it
     // here too so the bench can never report a speedup of a wrong answer.
-    check_identical(n.scalar.run(n.images[0]), n.fast.run(n.images[0]), n.key.c_str());
+    const QTensor want = n.scalar.run(n.images[0]);
+    check_identical(want, n.simd.run(n.images[0]), n.key.c_str());
+    check_identical(want, n.rule.run(n.images[0]), n.key.c_str());
 
-    runtime::Executor ex_s(n.scalar.network()), ex_f(n.fast.network());
-    const int reps = smoke_scaled(3, 1);
-    const double scalar_us = time_us(reps, [&] {
-      for (const Tensor& x : n.images) ex_s.run_view(x);
-    });
-    const double simd_us = time_us(reps, [&] {
-      for (const Tensor& x : n.images) ex_f.run_view(x);
-    });
+    // Interleaved rounds, min per build: the ratios compare builds timed
+    // under the same host load.
+    runtime::Executor ex_s(n.scalar.network()), ex_v(n.simd.network()),
+        ex_a(n.rule.network());
+    const auto walk = [&](runtime::Executor& ex) {
+      const Clock::time_point t0 = Clock::now();
+      for (const Tensor& x : n.images) ex.run_view(x);
+      return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+    };
+    double scalar_us = 1e300, simd_us = 1e300, auto_us = 1e300;
+    for (int round = 0; round < smoke_scaled(6, 3); ++round) {
+      scalar_us = std::min(scalar_us, walk(ex_s));
+      simd_us = std::min(simd_us, walk(ex_v));
+      auto_us = std::min(auto_us, walk(ex_a));
+    }
     const auto imgs = static_cast<double>(n.images.size());
-    add_pair(jw, "e2e_" + n.key, scalar_us / imgs, simd_us / imgs);
-    jw.add("e2e_" + n.key + "_simd_lanes", n.simd_lanes);
-    std::printf("%-28s %d layer(s) on the simd lane\n", "", n.simd_lanes);
+    scalar_us /= imgs;
+    simd_us /= imgs;
+    auto_us /= imgs;
+    int simd_lanes = 0;
+    for (const runtime::LayerPlan& p : n.rule.network().plans) {
+      if (p.lane == runtime::HostLane::kSimd) ++simd_lanes;
+    }
+    const std::string base = "e2e_" + n.key;
+    const double over_best = auto_us / std::min(scalar_us, simd_us);
+    jw.add(base + "_scalar_us", scalar_us);
+    jw.add(base + "_simd_us", simd_us);
+    jw.add(base + "_auto_us", auto_us);
+    jw.add(base + "_speedup", scalar_us / auto_us);
+    jw.add(base + "_auto_over_best", over_best);
+    jw.add(base + "_simd_lanes", simd_lanes);
+    std::printf("%-28s scalar %10.1f us   simd %10.1f us   auto %10.1f us   %5.2fx of best\n",
+                base.c_str(), scalar_us, simd_us, auto_us, over_best);
+    std::printf("%-28s %d layer(s) on the simd lane under kAuto\n", "", simd_lanes);
   }
 }
 
@@ -288,14 +316,14 @@ double serve(Session& session, std::span<const Tensor> images, int n) {
 }
 
 void serving(JsonWriter& jw, NetUnderTest& n) {
-  print_header("3. serving: InferenceServer throughput, scalar vs cost-model lanes");
+  print_header("3. serving: InferenceServer throughput, forced scalar vs kAuto lanes");
   const int reqs = smoke_scaled(96, 16);
   const double scalar_ips = serve(n.scalar, n.images, reqs);
-  const double fast_ips = serve(n.fast, n.images, reqs);
+  const double auto_ips = serve(n.rule, n.images, reqs);
   jw.add("server_scalar_ips", scalar_ips);
-  jw.add("server_costmodel_ips", fast_ips);
-  std::printf("%-28s scalar %8.0f img/s   cost-model %8.0f img/s   %5.2fx\n",
-              ("server_" + n.key).c_str(), scalar_ips, fast_ips, fast_ips / scalar_ips);
+  jw.add("server_auto_ips", auto_ips);
+  std::printf("%-28s scalar %8.0f img/s   auto %8.0f img/s   %5.2fx\n",
+              ("server_" + n.key).c_str(), scalar_ips, auto_ips, auto_ips / scalar_ips);
 }
 
 int run_bench() {
@@ -316,7 +344,14 @@ int run_bench() {
   std::vector<NetUnderTest> nets;
   nets.push_back(build_net("tinyconv", models::build_tinyconv, false));
   nets.push_back(build_net("resnet_s", models::build_resnet_s, true));
-  if (!smoke_mode()) nets.push_back(build_net("resnet_10", models::build_resnet10, true));
+  if (!smoke_mode()) {
+    nets.push_back(build_net("resnet_10", models::build_resnet10, true));
+    // The two cases the lane rule keeps (partly) scalar: MobileNet-v2's
+    // depthwise convs and every bit-serial layer over a weight-oriented LUT.
+    nets.push_back(build_net("mobilenet_v2", models::build_mobilenet_v2, false));
+    nets.push_back(build_net("resnet_s_wo", models::build_resnet_s, true,
+                             pool::LutOrder::kWeightOriented));
+  }
   end_to_end(jw, nets);
   serving(jw, nets[1]);
 

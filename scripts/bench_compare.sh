@@ -8,8 +8,9 @@
 # The JSON is the flat one-"key": value-per-line shape bench::JsonWriter
 # emits, so awk is enough — no JSON parser needed. Regression direction is
 # inferred from the key name the same way the stats structs name units:
-# keys containing `_us`, `latency`, `p50`, `p95`, `p99`, `seconds` or
-# `allocs` are lower-is-better (latencies / allocation counts); everything
+# keys containing `_us`, `latency`, `p50`, `p95`, `p99`, `seconds`, `allocs`
+# or `_over_best` are lower-is-better (latencies / allocation counts / time
+# over the fastest alternative); everything
 # else (throughput, hit rates, speedups) is higher-is-better. `tokens_per_s`
 # keys are always higher-is-better, overriding any latency-ish substring. Non-numeric
 # values (strings, booleans) and keys present in only one file are reported
@@ -50,7 +51,7 @@ function lower_is_better(key) {
   # latency-ish substring (e.g. a per-percentile tokens_per_s breakdown).
   if (key ~ /tokens_per_s/) return 0
   return key ~ /_us/ || key ~ /latency/ || key ~ /p50/ || key ~ /p95/ || key ~ /p99/ || \
-         key ~ /seconds/ || key ~ /allocs/
+         key ~ /seconds/ || key ~ /allocs/ || key ~ /_over_best/
 }
 function is_number(v) {
   return v ~ /^-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$/

@@ -370,12 +370,9 @@ class Deployment {
   /// profile you will deploy on so variant choice optimizes that target.
   Deployment& cost_profile(const sim::McuProfile& profile);
   /// Host-lane policy (scalar vs SIMD kernel family per layer). The default
-  /// kCostModel prices both lanes under host_profile(); both lanes are
-  /// bit-identical, so this only changes host wall-clock time.
+  /// kAuto applies the measured lane rule; kScalar and kSimd force one lane.
+  /// Both lanes are bit-identical, so this only changes host wall-clock time.
   Deployment& host_lanes(runtime::HostLaneSelect mode);
-  /// Profile pricing the scalar-vs-SIMD lane decision (defaults to
-  /// sim::host_profile()).
-  Deployment& host_profile(const sim::McuProfile& profile);
   /// Record per-pass lowering trace entries in compile_report().
   Deployment& pass_trace(bool enabled);
   /// Force one bit-serial variant for every pooled layer (ablations).

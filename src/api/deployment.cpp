@@ -79,11 +79,6 @@ Deployment& Deployment::host_lanes(runtime::HostLaneSelect mode) {
   return *this;
 }
 
-Deployment& Deployment::host_profile(const sim::McuProfile& profile) {
-  opts_.host_profile = profile;
-  return *this;
-}
-
 Deployment& Deployment::pass_trace(bool enabled) {
   opts_.pass_trace = enabled;
   return *this;
@@ -102,7 +97,6 @@ Deployment& Deployment::with_options(const runtime::CompileOptions& options) {
   lut_order(options.lut_order);
   cost_profile(options.cost_profile);
   host_lanes(options.host_lanes);
-  host_profile(options.host_profile);
   pass_trace(options.pass_trace);
   opts_.force_variant = options.force_variant;
   opts_.forced_variant = options.forced_variant;

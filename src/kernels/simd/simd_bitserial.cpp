@@ -120,7 +120,7 @@ void precompute_pool_portable(const pool::DotLut& lut, const uint32_t* bitvec, i
     }
   } else {
     // Weight-oriented blocks put consecutive s a full 2^N entries apart;
-    // gather scalar (the cost model never prefers the SIMD lane here).
+    // gather scalar (the lane rule keeps weight-oriented layers scalar).
     for (int s = 0; s < S; ++s) {
       int32_t v = 0;
       for (int j = 0; j < bits; ++j) v += lut.at(bitvec[j], s) << j;

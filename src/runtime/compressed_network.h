@@ -73,10 +73,10 @@ static_assert(detail::all_plan_kinds_named(),
 /// vectorized + cache-blocked kernels under src/kernels/simd/. Lanes are
 /// bit-identical by contract (integer accumulation reordered, scalar
 /// requantization per element) and differ only in wall-clock cost;
-/// SelectBackends prices them with CompileOptions::host_profile. A plan
-/// carrying kSimd resolves to the scalar backend when the SIMD family is
-/// compiled out or unsupported at runtime (see backend_variant_key /
-/// KernelRegistry::find fallback).
+/// SelectBackends picks one per layer by a measured rule
+/// (HostLaneSelect::kAuto). A plan carrying kSimd resolves to the scalar
+/// backend when the SIMD family is compiled out or unsupported at runtime
+/// (see backend_variant_key / KernelRegistry::find fallback).
 enum class HostLane : uint8_t {
   kScalar = 0,
   kSimd = 1,

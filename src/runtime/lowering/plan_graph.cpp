@@ -161,17 +161,6 @@ std::string CompileReport::summary() const {
       }
     }
   }
-  if (!lane_choices.empty()) {
-    os << "host lane selection:\n";
-    for (const LaneChoice& l : lane_choices) {
-      os << "  " << l.layer << " [" << plan_kind_name(l.kind) << "] -> "
-         << host_lane_name(l.lane);
-      if (l.simd_cycles > 0.0) {
-        os << " (scalar " << l.scalar_cycles << " cyc, simd " << l.simd_cycles << " cyc)";
-      }
-      os << "\n";
-    }
-  }
   return os.str();
 }
 

@@ -15,10 +15,11 @@
 //   EliminateDeadNodes   nodes with no path to the network output dropped
 //   AssignActivationQuant every live node gets its output quantization from
 //                        the calibration result (chain-end ranges)
-//   SelectBackends       PlanKind + bit-serial variant per node; pooled
-//                        layers pick the cheapest variant under the cost
-//                        model (sim/layer_cost.h) priced by the compile
-//                        profile
+//   SelectBackends       PlanKind + bit-serial variant + host lane per
+//                        node; pooled layers pick the cheapest variant under
+//                        the cost model (sim/layer_cost.h) priced by the
+//                        compile profile, and compute layers take their lane
+//                        from the measured rule (HostLaneSelect::kAuto)
 //   Legalize             requantization construction (BN fold, zero-point
 //                        row-sum corrections), weight quantization, index
 //                        packing, and the unsupported-pattern checks

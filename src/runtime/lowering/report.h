@@ -42,25 +42,10 @@ struct BackendChoice {
   double heuristic_cycles = 0.0;
 };
 
-/// The SelectBackends host-lane decision (scalar vs SIMD kernel family) for
-/// one compute layer. Recorded for every conv/linear layer, pooled or not;
-/// both lanes are bit-identical, so this only affects host wall-clock time.
-struct LaneChoice {
-  std::string layer;
-  PlanKind kind = PlanKind::kConvBaseline;
-  HostLane lane = HostLane::kScalar;
-  /// Estimated cycles of each lane under CompileOptions::host_profile.
-  /// simd_cycles is 0 when the SIMD backends are compiled out or the lane
-  /// was forced (HostLaneSelect != kCostModel).
-  double scalar_cycles = 0.0;
-  double simd_cycles = 0.0;
-};
-
 /// Everything the lowering pipeline can tell you about one compile() run.
 struct CompileReport {
   std::vector<PassTraceEntry> pass_trace;
   std::vector<BackendChoice> backend_choices;
-  std::vector<LaneChoice> lane_choices;
 
   /// Multi-line human-readable rendering of both sections.
   std::string summary() const;

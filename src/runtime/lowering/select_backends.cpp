@@ -14,10 +14,12 @@
 //
 // Orthogonally, every conv/linear layer gets a HostLane: the scalar
 // reference kernels or the SIMD family under src/kernels/simd/. Both lanes
-// are bit-identical, so the decision is pure wall-clock — the same argmin
-// machinery prices the scalar closed form against the simd_* closed form
-// under CompileOptions::host_profile and keeps the cheaper lane (ties go to
-// scalar). kSimd is never assigned when the SIMD backends are compiled out.
+// are bit-identical, so the decision is pure wall-clock, and it is one
+// measured rule rather than a cost model: SIMD, except a grouped conv and a
+// bit-serial layer over a weight-oriented LUT, the two layer classes a
+// zoo-wide per-layer replay timed faster on the scalar lane (docs/kernels.md
+// §4 has the table). kSimd is never assigned when the SIMD backends are
+// compiled out.
 #include <limits>
 
 #include "kernels/simd/simd_dispatch.h"
@@ -60,7 +62,7 @@ class SelectBackends : public Pass {
             n.indices = kernels::PackedIndices::pack(*pl);
             if (choose_variant(pg, ctx, n)) ++cost_picked;
           }
-          choose_lane(pg, ctx, n);
+          choose_lane(ctx, n);
           if (n.lane == HostLane::kSimd) ++simd_lanes;
           break;
         }
@@ -139,68 +141,25 @@ class SelectBackends : public Pass {
   }
 
   /// Assign n.lane for a conv/linear node (any of the four compute kinds).
-  /// Forced modes short-circuit; kCostModel prices the scalar closed form of
-  /// the *chosen* backend against its simd_* counterpart under
-  /// CompileOptions::host_profile. kSimd is only ever assigned when
-  /// kernels::simd::available() — a network compiled on a SIMD build still
-  /// loads on a scalar-only one because KernelRegistry::find falls back, but
-  /// the compile-time decision must not promise what this build lacks.
-  void choose_lane(const PlanGraph& pg, PassContext& ctx, PlanNode& n) const {
+  /// kSimd is only ever assigned when kernels::simd::available() — a network
+  /// compiled on a SIMD build still loads on a scalar-only one because
+  /// KernelRegistry::find falls back, but the compile-time decision must not
+  /// promise what this build lacks.
+  static void choose_lane(const PassContext& ctx, PlanNode& n) {
     n.lane = HostLane::kScalar;
-    double scalar_cyc = 0.0, simd_cyc = 0.0;
-    if (kernels::simd::available() && ctx.opt.host_lanes != HostLaneSelect::kScalar) {
-      if (ctx.opt.host_lanes == HostLaneSelect::kSimd) {
-        n.lane = HostLane::kSimd;
-      } else {
-        const sim::McuProfile& host = ctx.opt.host_profile;
-        const PlanNode& src = pg.node(n.inputs[0]);
-        scalar_cyc = host.cycles(scalar_lane_cost(ctx, n, src));
-        simd_cyc = host.cycles(simd_lane_cost(ctx, n, src));
-        if (simd_cyc < scalar_cyc) n.lane = HostLane::kSimd;
-      }
+    if (!kernels::simd::available() || ctx.opt.host_lanes == HostLaneSelect::kScalar) return;
+    if (ctx.opt.host_lanes == HostLaneSelect::kAuto) {
+      // Why SIMD loses on these two: the SIMD int8 conv stages and dots one
+      // column per group, which a 3x3 depthwise conv leaves 9 taps long,
+      // under one 16-lane step; the SIMD bit-serial core precomputes a
+      // weight-oriented LUT's strided rows one entry at a time.
+      const bool grouped =
+          n.op == nn::Op::kConv2d && ctx.graph.node(n.graph_node).conv.groups > 1;
+      const bool bitserial =
+          n.kind == PlanKind::kConvBitSerial || n.kind == PlanKind::kLinearBitSerial;
+      if (grouped || (bitserial && ctx.lut->order == pool::LutOrder::kWeightOriented)) return;
     }
-    if (ctx.report != nullptr) {
-      ctx.report->lane_choices.push_back({n.name, n.kind, n.lane, scalar_cyc, simd_cyc});
-    }
-  }
-
-  /// Host-profile event counts of the scalar lane for the backend already
-  /// chosen for `n` (baseline int8 or the winning bit-serial variant).
-  static sim::CostCounter scalar_lane_cost(const PassContext& ctx, const PlanNode& n,
-                                           const PlanNode& src) {
-    if (n.kind == PlanKind::kConvBaseline || n.kind == PlanKind::kLinearBaseline) {
-      return baseline_cost_for(ctx, n, src);
-    }
-    check(src.quant_assigned, "SelectBackends: producer of '" + n.name + "' lacks quantization");
-    return variant_cost(ctx, n, src, src.oq.bits, n.variant);
-  }
-
-  static sim::CostCounter simd_lane_cost(const PassContext& ctx, const PlanNode& n,
-                                         const PlanNode& src) {
-    if (n.op == nn::Op::kLinear) {
-      const int fin = static_cast<int>(elems(src.out_chw));
-      if (n.kind == PlanKind::kLinearBaseline) {
-        return sim::simd_linear_cost(fin, ctx.graph.node(n.graph_node).weight.dim(0));
-      }
-      return sim::simd_bitserial_linear_cost(fin, n.indices.out_ch, src.oq.bits, *ctx.lut);
-    }
-    const nn::ConvSpec& spec = ctx.graph.node(n.graph_node).conv;
-    if (n.kind == PlanKind::kConvBaseline) {
-      return sim::simd_conv_cost(spec, src.out_chw[1], src.out_chw[2]);
-    }
-    return sim::simd_bitserial_conv_cost(spec, src.out_chw[1], src.out_chw[2], src.oq.bits,
-                                         *ctx.lut);
-  }
-
-  /// Like baseline_cost, but valid for unpooled layers too (no indices).
-  static sim::CostCounter baseline_cost_for(const PassContext& ctx, const PlanNode& n,
-                                            const PlanNode& src) {
-    if (n.op == nn::Op::kLinear) {
-      const int fin = static_cast<int>(elems(src.out_chw));
-      return sim::baseline_linear_cost(fin, ctx.graph.node(n.graph_node).weight.dim(0));
-    }
-    const nn::ConvSpec& spec = ctx.graph.node(n.graph_node).conv;
-    return sim::baseline_conv_cost(spec, src.out_chw[1], src.out_chw[2]);
+    n.lane = HostLane::kSimd;
   }
 
   static sim::CostCounter variant_cost(const PassContext& ctx, const PlanNode& n,

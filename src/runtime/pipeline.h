@@ -26,11 +26,11 @@ namespace bswp::runtime {
 /// How SelectBackends assigns each compute layer's HostLane (the host-CPU
 /// kernel family that will execute it; MCU latency estimates are unaffected).
 enum class HostLaneSelect {
-  /// Price HostLane::kScalar vs HostLane::kSimd per layer with
-  /// sim/layer_cost.h's closed forms under CompileOptions::host_profile and
-  /// keep the cheaper one (ties go to scalar). Never assigns kSimd when the
-  /// SIMD backends are compiled out (BSWP_SIMD=OFF).
-  kCostModel,
+  /// The measured rule: HostLane::kSimd for every conv/linear layer except a
+  /// grouped conv and a bit-serial layer over a weight-oriented LUT, which
+  /// stay on HostLane::kScalar (docs/kernels.md §4). Never assigns kSimd when
+  /// the SIMD backends are compiled out (BSWP_SIMD=OFF).
+  kAuto,
   /// Force every layer onto the scalar reference kernels (ablations, golden
   /// fixture regeneration).
   kScalar,
@@ -51,9 +51,7 @@ struct CompileOptions {
   /// Host-lane policy: scalar vs SIMD kernel family per layer. Orthogonal to
   /// the bit-serial *variant* choice; every variant is bit-identical across
   /// lanes, so this only moves wall-clock time.
-  HostLaneSelect host_lanes = HostLaneSelect::kCostModel;
-  /// Profile pricing the scalar-vs-SIMD lane decision (kCostModel lanes).
-  sim::McuProfile host_profile = sim::host_profile();
+  HostLaneSelect host_lanes = HostLaneSelect::kAuto;
   /// Force one bit-serial variant for every pooled layer, linear included
   /// (ablations; all variants are bit-identical, they differ only in cost).
   bool force_variant = false;

@@ -221,121 +221,4 @@ CostCounter baseline_linear_cost(int in_features, int out_features) {
   return c;
 }
 
-namespace {
-
-/// Filter-loop events of the SIMD int8 dot product: per (position, filter)
-/// `vec` 16-lane madd steps + `tail` scalar taps (each one kMac + column and
-/// weight stream reads), a horizontal reduce, and the requantized store.
-void add_simd_dot_filters(CostCounter& c, uint64_t pf, uint64_t vec, uint64_t tail) {
-  c.add(Event::kMac, pf * (vec + tail));
-  c.add(Event::kSramRead, pf * 2 * (vec + tail));
-  c.add(Event::kAlu, pf * 4);  // horizontal reduce + store addressing
-  c.add(Event::kBranch, pf);
-  c.add(Event::kRequant, pf);
-  c.add(Event::kSramWrite, pf);
-}
-
-}  // namespace
-
-CostCounter simd_conv_cost(const nn::ConvSpec& spec, int in_h, int in_w) {
-  CostCounter c;
-  const int oh = spec.out_h(in_h), ow = spec.out_w(in_w);
-  const auto P = static_cast<uint64_t>(oh) * static_cast<uint64_t>(ow);
-  const int cg = spec.in_ch / spec.groups;
-  const uint64_t K = static_cast<uint64_t>(cg) * spec.kh * spec.kw;
-  // Column staging: every tap (valid or zero-padded) is written once per
-  // (position, group) and read back ~once per 16-lane step stream.
-  const uint64_t stage = P * static_cast<uint64_t>(spec.groups) * K;
-  c.add(Event::kSramWrite, stage);
-  c.add(Event::kSramRead, stage);
-  add_simd_dot_filters(c, P * static_cast<uint64_t>(spec.out_ch), K / 16, K % 16);
-  return c;
-}
-
-CostCounter simd_linear_cost(int in_features, int out_features) {
-  CostCounter c;
-  const auto fin = static_cast<uint64_t>(in_features);
-  // The shifted input row is staged once for the whole filter loop.
-  c.add(Event::kSramRead, fin);
-  c.add(Event::kSramWrite, fin);
-  add_simd_dot_filters(c, static_cast<uint64_t>(out_features), fin / 16, fin % 16);
-  return c;
-}
-
-namespace {
-
-/// Per-context events of the SIMD bit-serial pipeline: unpack the group
-/// vector, precompute all S pool dot products (8 int32 lanes per step on an
-/// input-oriented LUT, scalar on a weight-oriented one), then gather-
-/// accumulate 8 output channels per step.
-void add_simd_bitserial_context(CostCounter& c, uint64_t contexts, int out_ch, int bits,
-                                const pool::DotLut& lut) {
-  const auto F = static_cast<uint64_t>(out_ch);
-  const auto M = static_cast<uint64_t>(bits);
-  const auto S = static_cast<uint64_t>(lut.pool_size);
-  add_unpack(c, contexts, lut.group_size, bits);
-  if (lut.order == pool::LutOrder::kInputOriented) {
-    const uint64_t steps = (S + 7) / 8;
-    c.add(Event::kSramRead, contexts * M * 2 * steps);
-    c.add(Event::kAlu, contexts * M * 2 * steps);
-    c.add(Event::kSramWrite, contexts * M * steps);
-    c.add(Event::kBranch, contexts * M);
-  } else {
-    // Strided rows: scalar precompute, same shape as the scalar
-    // cached+precompute variant's pool loop.
-    c.add(Event::kSramRead, contexts * S * M);
-    c.add(Event::kAlu, contexts * 2 * S * M);
-    c.add(Event::kSramWrite, contexts * S);
-    c.add(Event::kBranch, contexts * S);
-  }
-  // Gather step: 8 packed indices (one 64-bit load), 8 gathered values + the
-  // accumulator vector, add + store.
-  const uint64_t gsteps = (F + 7) / 8;
-  c.add(Event::kFlashSeqWord, contexts * gsteps);
-  c.add(Event::kSramRead, contexts * gsteps * 9);
-  c.add(Event::kAlu, contexts * gsteps * 2);
-  c.add(Event::kSramWrite, contexts * gsteps);
-  c.add(Event::kBranch, contexts * gsteps);
-}
-
-}  // namespace
-
-CostCounter simd_bitserial_conv_cost(const nn::ConvSpec& spec, int in_h, int in_w, int act_bits,
-                                     const pool::DotLut& lut) {
-  CostCounter c;
-  const int G = lut.group_size;
-  const int gcnt = spec.in_ch / G;
-  const int oh = spec.out_h(in_h), ow = spec.out_w(in_w);
-  const auto P = static_cast<uint64_t>(oh) * static_cast<uint64_t>(ow);
-  const auto F = static_cast<uint64_t>(spec.out_ch);
-
-  uint64_t contexts = 0;
-  for (int ky = 0; ky < spec.kh; ++ky) {
-    const uint64_t vy = valid_positions_1d(oh, in_h, ky, spec.stride, spec.pad);
-    for (int kx = 0; kx < spec.kw; ++kx) {
-      contexts += vy * valid_positions_1d(ow, in_w, kx, spec.stride, spec.pad) *
-                  static_cast<uint64_t>(gcnt);
-    }
-  }
-
-  c.add(Event::kSramWrite, 2 * P * F);  // accumulator init + output store
-  c.add(Event::kSramRead, P * F);
-  c.add(Event::kRequant, P * F);
-  add_simd_bitserial_context(c, contexts, spec.out_ch, act_bits, lut);
-  c.add(Event::kBranch, contexts);
-  return c;
-}
-
-CostCounter simd_bitserial_linear_cost(int in_features, int out_features, int act_bits,
-                                       const pool::DotLut& lut) {
-  CostCounter c;
-  const auto contexts = static_cast<uint64_t>(in_features / lut.group_size);
-  const auto F = static_cast<uint64_t>(out_features);
-  c.add(Event::kSramWrite, 2 * F);
-  c.add(Event::kSramRead, F);
-  c.add(Event::kRequant, F);
-  add_simd_bitserial_context(c, contexts, out_features, act_bits, lut);
-  return c;
-}
-
 }  // namespace bswp::sim

@@ -44,12 +44,12 @@ McuProfile mc_small();
 
 /// Generic superscalar host CPU (serving-path profile, not a paper board).
 /// Prices the same event vocabulary for a ~3 GHz out-of-order core with
-/// caches: "flash" degenerates to cached memory streams, loads/stores are
-/// sub-cycle, and one kMac prices one MAC *step* — scalar in the scalar
-/// closed forms, one 16-lane madd in the simd_* closed forms — which is
-/// exactly what lets SelectBackends's argmin price HostLane::kScalar against
-/// HostLane::kSimd per layer (CompileOptions::host_profile). Memory bounds
-/// are effectively unlimited so MemoryFootprint::fits never rejects a host.
+/// caches: "flash" degenerates to cached memory streams and loads/stores are
+/// sub-cycle. It prices the kernels' per-layer tallies
+/// (Executor::profile_layers) for the server's deadline schedule and for
+/// the benchmark's per-layer replay; it does not choose host lanes. Memory
+/// bounds are effectively unlimited so MemoryFootprint::fits never rejects a
+/// host.
 McuProfile host_profile();
 
 /// Static memory placement of a deployed network (flash image + peak SRAM).

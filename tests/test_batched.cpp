@@ -141,7 +141,7 @@ TEST(BatchedExecutor, CounterTalliesExactlyBatchTimesPerImage) {
 TEST(BatchedExecutor, SteadyStateBatchRunIsAllocationFree) {
   ZooCase c = make_case(models::paper_models()[0], 55, 4);
   bswp::Deployment dep = make_deployment(c);
-  bswp::Session s = dep.act_bits(8).host_lanes(HostLaneSelect::kCostModel).compile();
+  bswp::Session s = dep.act_bits(8).host_lanes(HostLaneSelect::kAuto).compile();
   Executor exec(s.network(), 4);
   const std::span<const Tensor> batch(c.images.data(), 4);
   exec.run_batch_view(batch);  // warm-up (construction already allocated everything)

@@ -56,7 +56,7 @@ models::TokenLmOptions tiny_lm(int vocab = 32) {
 /// fixed-seed rollout calibration (the LM's own greedy trajectories are the
 /// calibration distribution — see models::TokenLmRollout).
 bswp::Session compile_lm(const models::TokenLmOptions& lm, std::uint64_t seed,
-                         HostLaneSelect lanes = HostLaneSelect::kCostModel) {
+                         HostLaneSelect lanes = HostLaneSelect::kAuto) {
   nn::Graph g = models::build_token_lm(lm);
   Rng rng(seed);
   g.init_weights(rng);
@@ -307,7 +307,7 @@ TEST(Sessions, BitIdenticalAcrossScalarAndSimdLanes) {
   const std::vector<int> prompt = {1, 2, 3};
   const std::vector<int> ref = generate_tokens(scalar, lm, 2, prompt, 24);
   EXPECT_EQ(generate_tokens(simd, lm, 2, prompt, 24), ref);
-  // The shared fixture compiles with kCostModel lanes — same trajectory.
+  // The shared fixture compiles with kAuto lanes — same trajectory.
   EXPECT_EQ(generate_tokens(lm_fixture().session, lm_fixture().lm, 2, prompt, 24), ref);
 }
 

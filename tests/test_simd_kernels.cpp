@@ -120,9 +120,10 @@ struct PooledFixture {
   QTensor input;
   kernels::Requant rq;
 
-  PooledFixture(int channels, int filters, int act_bits, pool::LutOrder order, uint64_t seed) {
+  PooledFixture(int channels, int filters, int act_bits, pool::LutOrder order, uint64_t seed,
+                int stride = 1) {
     Rng rng(seed);
-    spec = nn::ConvSpec{channels, filters, 3, 3, 1, 1, 1};
+    spec = nn::ConvSpec{channels, filters, 3, 3, stride, 1, 1};
     pool::WeightPool wp;
     wp.group_size = 8;
     wp.vectors = Tensor({24, 8});  // pool size 24: not a multiple of 8 lanes
@@ -146,26 +147,29 @@ struct PooledFixture {
 
 TEST(SimdKernels, BitSerialConvIdenticalForEveryVariantOrderAndBitwidth) {
   for (pool::LutOrder order : {pool::LutOrder::kInputOriented, pool::LutOrder::kWeightOriented}) {
-    for (int act_bits : {1, 4, 8}) {
-      // 13 filters: not a multiple of the 8-channel gather step.
-      PooledFixture f(16, 13, act_bits, order, 21);
-      const int oh = f.spec.out_h(7), ow = f.spec.out_w(6);
-      for (BitSerialVariant v : kAllVariants) {
-        QTensor out_v({1, 13, oh, ow}, 8, false);
-        QView vv = QView::of(out_v);
-        sim::CostCounter cs, cv;
-        ScratchArena sv(simd::simd_bitserial_scratch_bytes(13, f.lut.pool_size, 8));
-        const QTensor out_s =
-            kernels::bitserial_conv2d(f.input, f.indices, f.lut, f.spec, f.rq, v, &cs);
-        simd::simd_bitserial_conv2d(QView::of(f.input), f.indices, f.lut, f.spec, f.rq, v, vv, sv,
-                                    &cv);
-        const std::string what = std::string("bitserial conv variant ") +
-                                 kernels::variant_name(v) + " bits " +
-                                 std::to_string(act_bits);
-        EXPECT_EQ(out_s.data, out_v.data) << what;
-        expect_counters_equal(cs, cv, what);
-        EXPECT_LE(sv.high_water(), simd::simd_bitserial_scratch_bytes(13, f.lut.pool_size, 8))
-            << what;
+    // Every activation bitwidth Deployment::act_bits accepts, at both strides.
+    for (int act_bits = 1; act_bits <= 8; ++act_bits) {
+      for (int stride : {1, 2}) {
+        // 13 filters: not a multiple of the 8-channel gather step.
+        PooledFixture f(16, 13, act_bits, order, 21, stride);
+        const int oh = f.spec.out_h(7), ow = f.spec.out_w(6);
+        for (BitSerialVariant v : kAllVariants) {
+          QTensor out_v({1, 13, oh, ow}, 8, false);
+          QView vv = QView::of(out_v);
+          sim::CostCounter cs, cv;
+          ScratchArena sv(simd::simd_bitserial_scratch_bytes(13, f.lut.pool_size, 8));
+          const QTensor out_s =
+              kernels::bitserial_conv2d(f.input, f.indices, f.lut, f.spec, f.rq, v, &cs);
+          simd::simd_bitserial_conv2d(QView::of(f.input), f.indices, f.lut, f.spec, f.rq, v, vv,
+                                      sv, &cv);
+          const std::string what = std::string("bitserial conv variant ") +
+                                   kernels::variant_name(v) + " bits " +
+                                   std::to_string(act_bits) + " stride " + std::to_string(stride);
+          EXPECT_EQ(out_s.data, out_v.data) << what;
+          expect_counters_equal(cs, cv, what);
+          EXPECT_LE(sv.high_water(), simd::simd_bitserial_scratch_bytes(13, f.lut.pool_size, 8))
+              << what;
+        }
       }
     }
   }
@@ -326,6 +330,12 @@ ZooCase make_case(const models::NamedModel& m, uint64_t seed) {
   return c;
 }
 
+bool is_compute(runtime::PlanKind k) {
+  using runtime::PlanKind;
+  return k == PlanKind::kConvBaseline || k == PlanKind::kLinearBaseline ||
+         k == PlanKind::kConvBitSerial || k == PlanKind::kLinearBitSerial;
+}
+
 Deployment make_deployment(ZooCase& c) {
   pool::CodecOptions co;
   co.pool_size = 16;
@@ -341,14 +351,20 @@ TEST(SimdKernels, ZooLogitsBitIdenticalAcrossLanes) {
   for (const models::NamedModel& m : models::paper_models()) {
     ZooCase c = make_case(m, seed++);
     Deployment dep = make_deployment(c);
-    for (int bits : {4, 8}) {
-      Session scalar =
-          dep.act_bits(bits).host_lanes(runtime::HostLaneSelect::kScalar).compile();
-      Session vec = dep.host_lanes(runtime::HostLaneSelect::kSimd).compile();
-      Session priced = dep.host_lanes(runtime::HostLaneSelect::kCostModel).compile();
-      const QTensor want = scalar.run(c.image);
-      EXPECT_EQ(want.data, vec.run(c.image).data) << m.name << " bits " << bits;
-      EXPECT_EQ(want.data, priced.run(c.image).data) << m.name << " bits " << bits;
+    for (pool::LutOrder order : {pool::LutOrder::kInputOriented, pool::LutOrder::kWeightOriented}) {
+      for (int bits : {2, 4, 8}) {
+        Session scalar = dep.act_bits(bits)
+                             .lut_order(order)
+                             .host_lanes(runtime::HostLaneSelect::kScalar)
+                             .compile();
+        Session vec = dep.host_lanes(runtime::HostLaneSelect::kSimd).compile();
+        Session rule = dep.host_lanes(runtime::HostLaneSelect::kAuto).compile();
+        const QTensor want = scalar.run(c.image);
+        const std::string what = m.name + " bits " + std::to_string(bits) + " order " +
+                                 std::to_string(static_cast<int>(order));
+        EXPECT_EQ(want.data, vec.run(c.image).data) << what;
+        EXPECT_EQ(want.data, rule.run(c.image).data) << what;
+      }
     }
   }
 }
@@ -362,11 +378,7 @@ TEST(SimdKernels, ForcedLanesStampEveryComputePlan) {
   }
   Session vec = dep.host_lanes(runtime::HostLaneSelect::kSimd).compile();
   for (const runtime::LayerPlan& p : vec.network().plans) {
-    const bool compute = p.kind == runtime::PlanKind::kConvBaseline ||
-                         p.kind == runtime::PlanKind::kLinearBaseline ||
-                         p.kind == runtime::PlanKind::kConvBitSerial ||
-                         p.kind == runtime::PlanKind::kLinearBitSerial;
-    if (compute && simd::available()) {
+    if (is_compute(p.kind) && simd::available()) {
       EXPECT_EQ(p.lane, runtime::HostLane::kSimd) << p.name;
     } else {
       EXPECT_EQ(p.lane, runtime::HostLane::kScalar) << p.name;
@@ -374,41 +386,58 @@ TEST(SimdKernels, ForcedLanesStampEveryComputePlan) {
   }
 }
 
-TEST(SimdKernels, CostModelLaneChoicesAreArgminAndReported) {
-  ZooCase c = make_case(models::paper_models()[0], 100);
-  Deployment dep = make_deployment(c);
-  Session s = dep.host_lanes(runtime::HostLaneSelect::kCostModel).compile();
-  const runtime::CompileReport& report = dep.compile_report();
-  ASSERT_FALSE(report.lane_choices.empty());
-  for (const runtime::LaneChoice& l : report.lane_choices) {
-    if (!simd::available()) {
-      EXPECT_EQ(l.lane, runtime::HostLane::kScalar) << l.layer;
-      continue;
-    }
-    ASSERT_GT(l.simd_cycles, 0.0) << l.layer;
-    ASSERT_GT(l.scalar_cycles, 0.0) << l.layer;
-    EXPECT_EQ(l.lane == runtime::HostLane::kSimd, l.simd_cycles < l.scalar_cycles) << l.layer;
-  }
-  // The summary and registry attribution render the lanes.
-  if (simd::available()) {
-    EXPECT_NE(report.summary().find("host lane selection:"), std::string::npos);
-    bool any_simd_line = false;
-    for (const std::string& line : runtime::KernelRegistry::instance().describe(s.network())) {
-      if (line.find("[simd]") != std::string::npos &&
-          line.find("simd/") != std::string::npos) {
-        any_simd_line = true;
+TEST(SimdKernels, AutoLanesFollowTheMeasuredRule) {
+  uint64_t seed = 100;
+  bool any_simd_line = false;
+  for (const models::NamedModel& m : models::paper_models()) {
+    ZooCase c = make_case(m, seed++);
+    Deployment dep = make_deployment(c);
+    for (pool::LutOrder order : {pool::LutOrder::kInputOriented, pool::LutOrder::kWeightOriented}) {
+      for (int bits : {2, 4, 8}) {
+        Session s = dep.act_bits(bits)
+                        .lut_order(order)
+                        .host_lanes(runtime::HostLaneSelect::kAuto)
+                        .compile();
+        for (const runtime::LayerPlan& p : s.network().plans) {
+          using runtime::PlanKind;
+          const bool bitserial =
+              p.kind == PlanKind::kConvBitSerial || p.kind == PlanKind::kLinearBitSerial;
+          // SIMD, except a grouped conv and a bit-serial layer over a
+          // weight-oriented LUT.
+          const bool simd_lane = is_compute(p.kind) && simd::available() &&
+                                 !(p.kind == PlanKind::kConvBaseline && p.spec.groups > 1) &&
+                                 !(bitserial && order == pool::LutOrder::kWeightOriented);
+          EXPECT_EQ(p.lane, simd_lane ? runtime::HostLane::kSimd : runtime::HostLane::kScalar)
+              << m.name << " bits " << bits << " order " << static_cast<int>(order) << " "
+              << p.name;
+        }
+        // Registry attribution renders the SIMD lane.
+        for (const std::string& line : runtime::KernelRegistry::instance().describe(s.network())) {
+          if (line.find("[simd]") != std::string::npos &&
+              line.find("simd/") != std::string::npos) {
+            any_simd_line = true;
+          }
+        }
       }
     }
-    // At least one layer should price onto the SIMD lane on any host where
-    // the family is compiled in (the int8 convs vectorize 16-wide).
-    EXPECT_TRUE(any_simd_line);
   }
+  EXPECT_EQ(any_simd_line, simd::available());
 }
 
 TEST(SimdKernels, SerializationRoundTripsLanes) {
-  ZooCase c = make_case(models::paper_models()[0], 101);
+  // MobileNet-v2: its depthwise convs stay scalar under the rule while the
+  // other compute layers go SIMD, so the container carries both lanes.
+  ZooCase c = make_case(models::paper_models()[4], 101);
   Deployment dep = make_deployment(c);
-  Session s = dep.host_lanes(runtime::HostLaneSelect::kCostModel).compile();
+  Session s = dep.host_lanes(runtime::HostLaneSelect::kAuto).compile();
+  if (simd::available()) {
+    int compute_plans[2] = {0, 0};  // indexed by HostLane
+    for (const runtime::LayerPlan& p : s.network().plans) {
+      if (is_compute(p.kind)) ++compute_plans[static_cast<int>(p.lane)];
+    }
+    ASSERT_GT(compute_plans[static_cast<int>(runtime::HostLane::kScalar)], 0);
+    ASSERT_GT(compute_plans[static_cast<int>(runtime::HostLane::kSimd)], 0);
+  }
 
   std::stringstream buf;
   runtime::save_network(s.network(), buf);
